@@ -95,7 +95,11 @@ fn solve_pipeline(scenario: &Scenario, threads: usize) -> SagReport {
 fn fingerprint(report: &SagReport) -> String {
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}",
-        report.coverage, report.lower_power, report.plan, report.upper_power, report.solver,
+        report.coverage,
+        report.lower_power,
+        report.plan,
+        report.upper_power,
+        report.solver(),
     )
 }
 

@@ -1,13 +1,11 @@
-//! Shared scaffolding for the benchmarks: canonical scenario builders,
-//! reduced sweep configurations, and a built-in wall-clock harness.
+//! Shared scaffolding for the gated benchmark binaries: canonical
+//! scenario builders, reduced sweep configurations, gate bookkeeping,
+//! and a built-in wall-clock harness.
 //!
-//! The Criterion benches under `benches/` are reserved behind the
-//! `criterion` feature (which needs registry access — see DESIGN.md
-//! "Hermetic builds"). The default, zero-dependency path is the
-//! [`harness`] module: seeded, warmed-up wall-clock timing that prints
-//! a `name  median  mean  min  iters` row per benchmark, good enough to
-//! catch order-of-magnitude regressions in CI without any external
-//! crate.
+//! The zero-dependency [`harness`] module provides seeded, warmed-up
+//! wall-clock timing that prints a `name  median  mean  min  iters` row
+//! per benchmark, good enough to catch order-of-magnitude regressions
+//! in CI without any external crate.
 
 use std::time::Instant;
 
@@ -88,19 +86,6 @@ pub fn bench_scenario(field: f64, users: usize, seed: u64) -> Scenario {
     .build(seed)
 }
 
-/// The Fig. 6 corner-BS scenario at benchmark scale.
-pub fn bench_corner_scenario(users: usize, seed: u64) -> Scenario {
-    ScenarioSpec {
-        field_size: 600.0,
-        n_subscribers: users,
-        n_base_stations: 4,
-        snr_db: -15.0,
-        bs_layout: BsLayout::Corners,
-        ..Default::default()
-    }
-    .build(seed)
-}
-
 /// Wall-clock seconds of one invocation (re-exported convenience for
 /// ad-hoc timing in tests and examples).
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -116,7 +101,6 @@ mod tests {
     #[test]
     fn builders_are_deterministic() {
         assert_eq!(bench_scenario(500.0, 10, 1), bench_scenario(500.0, 10, 1));
-        assert_eq!(bench_corner_scenario(10, 1), bench_corner_scenario(10, 1));
         assert_eq!(bench_sweep().runs, 2);
     }
 

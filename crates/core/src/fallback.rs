@@ -1,33 +1,37 @@
-//! Greedy set-cover fallback for the lower tier.
+//! The lower tier's cover substrate and its greedy rung.
 //!
-//! When the exact [`crate::ilpqc`] branch-and-bound exhausts its
-//! [`sag_lp::Budget`] before finding *any* incumbent, the pipeline
-//! degrades to this solver instead of failing: a classic greedy set
-//! cover over the same candidate set (pick the candidate covering the
-//! most still-uncovered subscribers), followed by the nearest-eligible
-//! assignment and a bounded SNR-repair loop that inserts closer eligible
-//! candidates for violated subscribers — the same repair move the exact
-//! search branches on, applied greedily.
+//! Every candidate-set backend in [`crate::solver`] builds the same
+//! [`CoverInstance`] with [`eligibility`] (subscribers' feasible circles
+//! over the candidates) and solves it with the `sag-hitting` stack —
+//! the one greedy cover and the one Mustafa–Ray local search the
+//! workspace has; SAMC Step 4, sleep scheduling and k-coverage run the
+//! same functions. This module adds the SNR-aware finishing shared by
+//! every backend: the nearest-eligible assignment ([`nearest_assignment`],
+//! also used by the exact ILPQC search and the sleep scheduler) and a
+//! bounded repair loop that inserts closer eligible candidates for
+//! violated subscribers — the same repair move the exact search
+//! branches on, applied greedily ([`repair_and_prune`]).
 //!
-//! The building blocks (eligibility lists, greedy selection, the SNR
-//! repair + prune pass) are shared `pub(crate)` helpers: the `LpRound`
-//! and `LocalSearch` backends in [`crate::solver`] reuse them so every
-//! rung of the ladder agrees on what "eligible" and "repaired" mean.
-//!
-//! The result is feasible whenever the repair loop converges, but
-//! carries no optimality certificate; [`crate::sag::SagReport`] records
-//! that the greedy solver answered so downstream consumers can tell the
-//! difference.
+//! [`greedy_cover`] is the ladder's last rung: when the exact
+//! [`crate::ilpqc`] search exhausts its [`sag_lp::Budget`] before finding
+//! any incumbent, the pipeline degrades to the greedy cover plus repair
+//! instead of failing. The result is feasible whenever the repair loop
+//! converges, but carries no optimality certificate;
+//! [`crate::sag::SagReport::solver`] records which backend answered so
+//! downstream consumers can tell the difference.
 
 use sag_geom::Point;
+use sag_hitting::{greedy, CoverInstance};
 
 use crate::coverage::{snr_violations, CoverageSolution};
 use crate::error::{SagError, SagResult};
 use crate::model::Scenario;
 
-/// Eligibility lists: `eligible[j]` = candidate indices (ascending)
-/// within subscriber `j`'s feasible distance. The shared first step of
-/// every candidate-set backend, so they cannot disagree on coverage.
+/// The cover instance of `scenario` over `candidates`: elements are the
+/// subscribers' feasible circles, so `eligible(j)` lists the candidates
+/// (ascending) within subscriber `j`'s feasible distance. The shared
+/// first step of every candidate-set backend, so they cannot disagree
+/// on coverage.
 ///
 /// # Errors
 /// [`SagError::Infeasible`] when some subscriber has no eligible
@@ -36,69 +40,14 @@ pub(crate) fn eligibility(
     scenario: &Scenario,
     candidates: &[Point],
     stage: &str,
-) -> SagResult<Vec<Vec<usize>>> {
-    let n_cands = candidates.len();
-    let mut eligible: Vec<Vec<usize>> = Vec::with_capacity(scenario.n_subscribers());
-    for sub in &scenario.subscribers {
-        let circle = sub.feasible_circle();
-        let e: Vec<usize> = (0..n_cands)
-            .filter(|&c| circle.contains(candidates[c]))
-            .collect();
-        if e.is_empty() {
-            return Err(SagError::Infeasible(format!(
-                "{stage}: a subscriber has no candidate within distance"
-            )));
-        }
-        eligible.push(e);
+) -> SagResult<CoverInstance> {
+    let cover = CoverInstance::new(&scenario.feasible_circles(), candidates);
+    if (0..cover.n_elements()).any(|j| cover.eligible(j).is_empty()) {
+        return Err(SagError::Infeasible(format!(
+            "{stage}: a subscriber has no candidate within distance"
+        )));
     }
-    Ok(eligible)
-}
-
-/// Greedy set cover over precomputed eligibility lists: repeatedly take
-/// the candidate covering the most still-uncovered subscribers. Returns
-/// the selected candidate indices, sorted ascending.
-///
-/// # Errors
-/// [`SagError::Infeasible`] when no remaining candidate covers an
-/// uncovered subscriber (only possible with inconsistent lists).
-pub(crate) fn greedy_select(
-    eligible: &[Vec<usize>],
-    n_cands: usize,
-    stage: &str,
-) -> SagResult<Vec<usize>> {
-    let n_subs = eligible.len();
-    let mut selected: Vec<usize> = Vec::new();
-    let mut covered = vec![false; n_subs];
-    while covered.iter().any(|&c| !c) {
-        let best = (0..n_cands)
-            .filter(|c| !selected.contains(c))
-            .max_by_key(|&c| {
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, e)| !covered[*j] && e.contains(&c))
-                    .count()
-            })
-            .filter(|&c| {
-                eligible
-                    .iter()
-                    .enumerate()
-                    .any(|(j, e)| !covered[j] && e.contains(&c))
-            });
-        let Some(c) = best else {
-            return Err(SagError::Infeasible(format!(
-                "{stage}: greedy cover stalled before covering every subscriber"
-            )));
-        };
-        selected.push(c);
-        for (j, e) in eligible.iter().enumerate() {
-            if e.contains(&c) {
-                covered[j] = true;
-            }
-        }
-    }
-    selected.sort_unstable();
-    Ok(selected)
+    Ok(cover)
 }
 
 /// SNR repair + prune over a distance-complete selection (sorted
@@ -115,20 +64,26 @@ pub(crate) fn greedy_select(
 pub(crate) fn repair_and_prune(
     scenario: &Scenario,
     candidates: &[Point],
-    eligible: &[Vec<usize>],
+    cover: &CoverInstance,
     mut selected: Vec<usize>,
     stage: &str,
 ) -> SagResult<CoverageSolution> {
     loop {
-        let assignment = nearest_assignment(scenario, candidates, eligible, &selected, stage)?;
+        let assignment =
+            nearest_assignment(scenario, candidates, cover, &selected).ok_or_else(|| {
+                SagError::Infeasible(format!(
+                    "{stage}: selection does not cover every subscriber"
+                ))
+            })?;
         let relays: Vec<Point> = selected.iter().map(|&c| candidates[c]).collect();
         let violated = snr_violations(scenario, &relays, &assignment);
         let Some(&j) = violated.first() else {
-            return prune_unused(scenario, candidates, eligible, selected, stage);
+            return Ok(prune_unused(candidates, &selected, assignment));
         };
         let spos = scenario.subscribers[j].position;
         let cur_d = candidates[selected[assignment[j]]].distance(spos);
-        let repair = eligible[j]
+        let repair = cover
+            .eligible(j)
             .iter()
             .copied()
             .filter(|&c| {
@@ -154,10 +109,9 @@ pub(crate) fn repair_and_prune(
 
 /// Greedy set cover + SNR repair over `candidates`.
 ///
-/// Runs in `O(n_cands² · n_subs)` worst case and performs no LP solves,
-/// so it terminates quickly even when the budget that stopped the exact
-/// solver has already expired — it is the last rung of the degradation
-/// ladder and deliberately ignores deadlines.
+/// Performs no LP solves, so it terminates quickly even when the budget
+/// that stopped the exact solver has already expired — it is the last
+/// rung of the degradation ladder and deliberately ignores deadlines.
 ///
 /// Under the zone-parallel lower tier ([`crate::engine`]) this runs
 /// once per *zone* that exhausted its share of the budget, over that
@@ -170,23 +124,34 @@ pub(crate) fn repair_and_prune(
 /// clearing every SNR violation.
 pub fn greedy_cover(scenario: &Scenario, candidates: &[Point]) -> SagResult<CoverageSolution> {
     let _stage = sag_obs::span("greedy_fallback");
-    let eligible = eligibility(scenario, candidates, "fallback")?;
-    let selected = greedy_select(&eligible, candidates.len(), "fallback")?;
-    repair_and_prune(scenario, candidates, &eligible, selected, "fallback")
+    let cover = eligibility(scenario, candidates, "fallback")?;
+    let mut selected =
+        greedy::greedy_cover(&cover, &vec![1; cover.n_elements()]).map_err(|_| {
+            SagError::Infeasible(
+                "fallback: greedy cover stalled before covering every subscriber".into(),
+            )
+        })?;
+    selected.sort_unstable();
+    repair_and_prune(scenario, candidates, &cover, selected, "fallback")
 }
 
-/// Nearest-eligible assignment over the selected candidates.
-fn nearest_assignment(
+/// Nearest-eligible assignment: for each subscriber (element of
+/// `cover`), the position in `selected` (sorted candidate indices) of
+/// its closest selected eligible candidate; `None` when some subscriber
+/// has no selected eligible candidate. With all relays at `Pmax` this is
+/// the SNR-optimal assignment, because the total received power is
+/// assignment-independent.
+pub(crate) fn nearest_assignment(
     scenario: &Scenario,
     candidates: &[Point],
-    eligible: &[Vec<usize>],
+    cover: &CoverInstance,
     selected: &[usize],
-    stage: &str,
-) -> SagResult<Vec<usize>> {
-    let mut out = Vec::with_capacity(scenario.n_subscribers());
-    for (j, e) in eligible.iter().enumerate() {
+) -> Option<Vec<usize>> {
+    let mut out = Vec::with_capacity(cover.n_elements());
+    for j in 0..cover.n_elements() {
         let spos = scenario.subscribers[j].position;
-        let best = e
+        let best = cover
+            .eligible(j)
             .iter()
             .filter_map(|c| selected.binary_search(c).ok())
             .min_by(|&a, &b| {
@@ -194,29 +159,19 @@ fn nearest_assignment(
                     &candidates[selected[a]].distance(spos),
                     &candidates[selected[b]].distance(spos),
                 )
-            });
-        match best {
-            Some(b) => out.push(b),
-            None => {
-                return Err(SagError::Infeasible(format!(
-                    "{stage}: selection does not cover every subscriber"
-                )))
-            }
-        }
+            })?;
+        out.push(best);
     }
-    Ok(out)
+    Some(out)
 }
 
 /// Drops selected candidates that serve nobody and remaps the
 /// assignment onto the compacted relay list.
 fn prune_unused(
-    scenario: &Scenario,
     candidates: &[Point],
-    eligible: &[Vec<usize>],
-    selected: Vec<usize>,
-    stage: &str,
-) -> SagResult<CoverageSolution> {
-    let assignment = nearest_assignment(scenario, candidates, eligible, &selected, stage)?;
+    selected: &[usize],
+    assignment: Vec<usize>,
+) -> CoverageSolution {
     let mut used = vec![false; selected.len()];
     for &a in &assignment {
         used[a] = true;
@@ -232,7 +187,7 @@ fn prune_unused(
         }
     }
     let assignment = assignment.into_iter().map(|a| remap[a]).collect();
-    Ok(CoverageSolution { relays, assignment })
+    CoverageSolution { relays, assignment }
 }
 
 #[cfg(test)]
@@ -280,6 +235,16 @@ mod tests {
         let sol = greedy_cover(&sc, &cands).unwrap();
         assert_eq!(sol.n_relays(), 1);
         assert!(sol.relays[0].approx_eq(Point::new(20.0, 0.0)));
+    }
+
+    #[test]
+    fn greedy_ties_go_to_the_lowest_candidate_index() {
+        // One subscriber, two equally useful candidates: the lower
+        // index wins.
+        let sc = scenario(vec![(0.0, 0.0, 30.0)], -15.0);
+        let cands = [Point::new(10.0, 0.0), Point::new(-10.0, 0.0)];
+        let sol = greedy_cover(&sc, &cands).unwrap();
+        assert_eq!(sol.relays, vec![cands[0]]);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use sag_radio::InterferenceLedger;
 
 use crate::coverage::{interference_ledger, CoverageSolution};
 use crate::error::{SagError, SagResult};
+use crate::fallback::nearest_assignment;
 use crate::model::Scenario;
 
 /// How often (in nodes) the wall-clock/cancellation state is polled.
@@ -106,11 +107,13 @@ pub fn solve_ilpqc(
     let n_cands = candidates.len();
 
     // eligible[j] = candidate indices within subscriber j's distance
-    // (the shared helper every backend builds its lists with).
-    let eligible = crate::fallback::eligibility(scenario, candidates, "ilpqc")?;
+    // (rows of the shared instance every backend builds).
+    let cover = crate::fallback::eligibility(scenario, candidates, "ilpqc")?;
+    let eligible: Vec<&[usize]> = (0..n_subs).map(|j| cover.eligible(j)).collect();
+    let rows = || eligible.iter().copied();
 
     // Root lower bound: LP relaxation of the set cover.
-    let root_lb = set_cover_lp_bound(n_cands, &eligible, &config.budget).map_err(|e| {
+    let root_lb = set_cover_lp_bound(n_cands, rows(), &config.budget).map_err(|e| {
         if e == SagError::Lp(sag_lp::LpError::Cancelled) {
             SagError::BudgetExceeded {
                 stage: "ilpqc",
@@ -141,7 +144,7 @@ pub fn solve_ilpqc(
     // one's basis via the dual simplex.
     let use_lp_bounds = n_cands >= config.lp_bound_min_cands;
     let cover_lp = if use_lp_bounds {
-        Some(build_cover_lp(n_cands, &eligible))
+        Some(build_cover_lp(n_cands, rows()))
     } else {
         None
     };
@@ -266,7 +269,8 @@ pub fn solve_ilpqc(
                 if evals.is_multiple_of(LEDGER_REBUILD_PERIOD) {
                     ledger.rebuild();
                 }
-                let assignment = nearest_assignment(scenario, candidates, &eligible, &selected);
+                let assignment = nearest_assignment(scenario, candidates, &cover, &selected)
+                    .expect("distance-complete selection covers every subscriber");
                 let violated: Vec<usize> = (0..n_subs)
                     .filter(|&j| {
                         let slot = slot_of[selected[assignment[j]]]
@@ -335,7 +339,8 @@ pub fn solve_ilpqc(
     match best {
         Some(selected) => {
             let relays: Vec<Point> = selected.iter().map(|&c| candidates[c]).collect();
-            let assignment = nearest_assignment(scenario, candidates, &eligible, &selected);
+            let assignment = nearest_assignment(scenario, candidates, &cover, &selected)
+                .expect("distance-complete selection covers every subscriber");
             let solution = CoverageSolution { relays, assignment };
             Ok(IlpqcOutcome {
                 solution,
@@ -388,34 +393,6 @@ fn sync_ledger(
     synced.extend_from_slice(selected);
 }
 
-/// Nearest-eligible assignment: for each subscriber, the position (index
-/// into `selected`) of its closest selected eligible candidate. With all
-/// relays at `Pmax` this is the SNR-optimal assignment, because the total
-/// received power is assignment-independent.
-fn nearest_assignment(
-    scenario: &Scenario,
-    candidates: &[Point],
-    eligible: &[Vec<usize>],
-    selected: &[usize],
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(scenario.n_subscribers());
-    for (j, e) in eligible.iter().enumerate() {
-        let spos = scenario.subscribers[j].position;
-        let best = e
-            .iter()
-            .filter_map(|c| selected.binary_search(c).ok())
-            .min_by(|&a, &b| {
-                sag_geom::float::total_cmp(
-                    &candidates[selected[a]].distance(spos),
-                    &candidates[selected[b]].distance(spos),
-                )
-            })
-            .expect("distance-complete selection covers every subscriber");
-        out.push(best);
-    }
-    out
-}
-
 /// Builds the set-cover relaxation: minimise Σx over x ∈ [0,1] subject
 /// to one `≥ 1` coverage row per subscriber. Rows are assembled as one
 /// canonical [`CscMatrix`] block (subscribers × candidates) and
@@ -423,18 +400,21 @@ fn nearest_assignment(
 /// nothing is densified on the way in. Shared with the `LpRound`
 /// backend in [`crate::solver`], which rounds this relaxation instead
 /// of branching on it.
-pub(crate) fn build_cover_lp(n_cands: usize, eligible: &[Vec<usize>]) -> LpProblem {
+pub(crate) fn build_cover_lp<'a>(
+    n_cands: usize,
+    rows: impl ExactSizeIterator<Item = &'a [usize]>,
+) -> LpProblem {
     let mut lp = LpProblem::minimize(n_cands);
     lp.set_objective(&vec![1.0; n_cands]);
     for c in 0..n_cands {
         lp.set_bounds(c, 0.0, 1.0);
     }
-    let triplets: Vec<(usize, usize, f64)> = eligible
-        .iter()
+    let n_rows = rows.len();
+    let triplets: Vec<(usize, usize, f64)> = rows
         .enumerate()
         .flat_map(|(j, e)| e.iter().map(move |&c| (j, c, 1.0)))
         .collect();
-    let cover = CscMatrix::from_triplets(eligible.len(), n_cands, &triplets)
+    let cover = CscMatrix::from_triplets(n_rows, n_cands, &triplets)
         .expect("eligibility indices are in range and finite");
     lp.add_rows_from_csc(&cover, Relation::Ge, 1.0);
     lp
@@ -442,18 +422,16 @@ pub(crate) fn build_cover_lp(n_cands: usize, eligible: &[Vec<usize>]) -> LpProbl
 
 /// LP relaxation of the set-cover part: a valid lower bound on the ILPQC
 /// optimum (dropping (3.5) relaxes the problem).
-fn set_cover_lp_bound(
+fn set_cover_lp_bound<'a>(
     n_cands: usize,
-    eligible: &[Vec<usize>],
+    rows: impl ExactSizeIterator<Item = &'a [usize]>,
     budget: &Budget,
 ) -> SagResult<usize> {
-    let mut lp = build_cover_lp(n_cands, eligible);
+    let dimension = n_cands + rows.len();
+    let mut lp = build_cover_lp(n_cands, rows);
     lp.set_budget(budget.clone());
     let sol = lp.solve()?;
-    Ok(round_lp_lower_bound(
-        sol.objective,
-        n_cands + eligible.len(),
-    ))
+    Ok(round_lp_lower_bound(sol.objective, dimension))
 }
 
 /// Rounds an LP-relaxation objective up to a valid integer lower bound.
@@ -702,7 +680,11 @@ mod tests {
                 .map(u32::count_ones)
                 .min()
                 .expect("every subscriber has an eligible candidate");
-            let bound = set_cover_lp_bound(n_cands, &eligible, &Budget::unlimited())
+            let bound = set_cover_lp_bound(
+                n_cands,
+                eligible.iter().map(Vec::as_slice),
+                &Budget::unlimited(),
+            )
                 .expect("feasible LP");
             prop_assert!(
                 bound as u32 <= opt,

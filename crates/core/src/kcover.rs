@@ -8,13 +8,15 @@
 //! relays inside its feasible circle, then derive primary/backup
 //! assignments (primary = nearest, backups in distance order).
 //!
-//! Solvers: a greedy set-multicover heuristic (ln-factor approximation)
-//! and an exact ILP via `sag-lp` for small instances. The candidate set
+//! Solvers: the shared greedy set multicover of `sag-hitting` with
+//! demand `k` per subscriber (ln-factor approximation) and an exact ILP
+//! via `sag-lp` for small instances. The candidate set
 //! extends the hitting-set normalisation with per-disk auxiliary rings,
 //! because a disk that intersects no other disk still needs `k` distinct
 //! in-disk candidates.
 
 use sag_geom::{arc, Point};
+use sag_hitting::{greedy::greedy_cover, CoverInstance};
 use sag_lp::{IlpProblem, LpProblem, Relation};
 
 use crate::coverage::{interference_ledger, snr_violations_ledger};
@@ -96,28 +98,24 @@ pub fn solve_k_coverage(
 ) -> SagResult<KCoverageSolution> {
     assert!(k >= 1, "coverage multiplicity must be ≥ 1");
     let candidates = k_cover_candidates(scenario, k);
-    let circles = scenario.feasible_circles();
-    // hits[j] = candidates inside subscriber j's circle.
-    let hits: Vec<Vec<usize>> = circles
-        .iter()
-        .map(|c| {
-            (0..candidates.len())
-                .filter(|&i| c.contains(candidates[i]))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    for (j, h) in hits.iter().enumerate() {
-        if h.len() < k {
+    let cover = CoverInstance::new(&scenario.feasible_circles(), &candidates);
+    for j in 0..cover.n_elements() {
+        let reach = cover.eligible(j).len();
+        if reach < k {
             return Err(SagError::Infeasible(format!(
-                "k-coverage: subscriber {j} reaches only {} candidates (< {k})",
-                h.len()
+                "k-coverage: subscriber {j} reaches only {reach} candidates (< {k})"
             )));
         }
     }
 
     let chosen: Vec<usize> = match strategy {
-        KCoverStrategy::Greedy => greedy_multicover(candidates.len(), &hits, k),
-        KCoverStrategy::Exact => exact_multicover(candidates.len(), &hits, k)?,
+        KCoverStrategy::Greedy => {
+            let mut chosen = greedy_cover(&cover, &vec![k; cover.n_elements()])
+                .map_err(|e| SagError::Infeasible(format!("k-coverage: greedy {e:?}")))?;
+            chosen.sort_unstable();
+            chosen
+        }
+        KCoverStrategy::Exact => exact_multicover(&cover, k)?,
     };
 
     let relays: Vec<Point> = chosen.iter().map(|&c| candidates[c]).collect();
@@ -125,44 +123,14 @@ pub fn solve_k_coverage(
     Ok(KCoverageSolution { relays, servers, k })
 }
 
-/// Greedy set multicover: each round picks the candidate reducing the
-/// total residual demand the most.
-fn greedy_multicover(n_cands: usize, hits: &[Vec<usize>], k: usize) -> Vec<usize> {
-    let n_subs = hits.len();
-    let mut deficit: Vec<usize> = vec![k; n_subs];
-    // covers[c] = subscribers candidate c helps.
-    let mut covers: Vec<Vec<usize>> = vec![Vec::new(); n_cands];
-    for (j, h) in hits.iter().enumerate() {
-        for &c in h {
-            covers[c].push(j);
-        }
-    }
-    let mut chosen = Vec::new();
-    let mut taken = vec![false; n_cands];
-    while deficit.iter().any(|&d| d > 0) {
-        let (best, gain) = (0..n_cands)
-            .filter(|&c| !taken[c])
-            .map(|c| (c, covers[c].iter().filter(|&&j| deficit[j] > 0).count()))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .expect("feasibility pre-checked: some candidate still helps");
-        debug_assert!(gain > 0, "progress must be possible");
-        taken[best] = true;
-        chosen.push(best);
-        for &j in &covers[best] {
-            deficit[j] = deficit[j].saturating_sub(1);
-        }
-    }
-    chosen.sort_unstable();
-    chosen
-}
-
 /// Exact set multicover via binary ILP: `min Σ T_i` s.t.
 /// `Σ_{i ∈ hits(j)} T_i ≥ k` for all `j`.
-fn exact_multicover(n_cands: usize, hits: &[Vec<usize>], k: usize) -> SagResult<Vec<usize>> {
+fn exact_multicover(cover: &CoverInstance, k: usize) -> SagResult<Vec<usize>> {
+    let n_cands = cover.n_candidates();
     let mut lp = LpProblem::minimize(n_cands);
     lp.set_objective(&vec![1.0; n_cands]);
-    for h in hits {
-        let row: Vec<(usize, f64)> = h.iter().map(|&c| (c, 1.0)).collect();
+    for j in 0..cover.n_elements() {
+        let row: Vec<(usize, f64)> = cover.eligible(j).iter().map(|&c| (c, 1.0)).collect();
         lp.add_constraint(&row, Relation::Ge, k as f64);
     }
     let mut ilp = IlpProblem::new(lp);
@@ -238,6 +206,7 @@ mod tests {
     use crate::model::{BaseStation, NetworkParams, Scenario, Subscriber};
     use crate::samc::samc;
     use sag_geom::Rect;
+    use sag_testkit::prelude::*;
 
     fn scenario(subs: Vec<(f64, f64, f64)>) -> Scenario {
         Scenario::new(
@@ -351,6 +320,33 @@ mod tests {
             k: 2,
         };
         assert!(!is_k_feasible(&sc, &bogus));
+    }
+
+    prop! {
+        /// The shared greedy with demand `k` meets every subscriber's
+        /// demand, and the placement `solve_k_coverage` builds from it
+        /// passes `is_k_feasible`.
+        #[cases(32)]
+        fn greedy_demand_k_meets_every_demand(seed in 0u64..10_000, n in 1usize..7, k in 1usize..4) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let sc = scenario(
+                (0..n)
+                    .map(|_| (rng.gen_range(-150.0..150.0), rng.gen_range(-150.0..150.0),
+                              rng.gen_range(25.0..45.0)))
+                    .collect(),
+            );
+            let cands = k_cover_candidates(&sc, k);
+            let cover = CoverInstance::new(&sc.feasible_circles(), &cands);
+            prop_assume!((0..n).all(|j| cover.eligible(j).len() >= k));
+            let chosen = greedy_cover(&cover, &vec![k; n]).expect("reach >= k cannot stall");
+            for j in 0..n {
+                let met = cover.eligible(j).iter().filter(|c| chosen.contains(c)).count();
+                prop_assert!(met >= k, "subscriber {j} covered {met} < {k} times");
+            }
+            let sol = solve_k_coverage(&sc, k, KCoverStrategy::Greedy).expect("demand is reachable");
+            prop_assert!(is_k_feasible(&sc, &sol));
+            prop_assert_eq!(sol.n_relays(), chosen.len());
+        }
     }
 
     #[test]

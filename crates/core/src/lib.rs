@@ -99,7 +99,7 @@ pub use churn::{ChurnConfig, ChurnEngine, ChurnEvent, ChurnReport, EventRecord, 
 pub use coverage::{CoverageSolution, ServedIndex};
 pub use error::{SagError, SagResult};
 pub use model::{BaseStation, NetworkParams, Relay, RelayRole, Scenario, Subscriber};
-pub use sag::{run_sag, run_sag_with, AnsweringSolver, LowerSolver, SagPipelineConfig, SagReport};
+pub use sag::{run_sag, run_sag_with, LowerSolver, SagPipelineConfig, SagReport};
 pub use sag_lp::{Budget, Spent};
 pub use solver::{
     CoverageSolver, LoserFault, SelectionPolicy, SelectionReason, SolveOutcome, SolverBackend,

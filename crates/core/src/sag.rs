@@ -22,7 +22,7 @@ use crate::mbmc::{mbmc, ConnectivityPlan};
 use crate::model::{Relay, RelayRole, Scenario};
 use crate::pro::{pro_with_budget, PowerAllocation};
 use crate::samc::{samc_with_budget_threads, SamcConfig};
-use crate::solver::{SelectionReason, SolveOutcome, SolverBackend, SolverBuilder};
+use crate::solver::{SelectionReason, SolverBackend, SolverBuilder};
 use crate::ucpo::{ucpo, UpperTierPower};
 use crate::zone::{observed_zone_partition, zone_scenario};
 
@@ -39,40 +39,6 @@ pub enum LowerSolver {
     /// Exact ILPQC with no fallback: budget exhaustion without an
     /// incumbent surfaces as [`SagError::BudgetExceeded`].
     IlpqcStrict,
-}
-
-/// Which solver actually produced the coverage in a [`SagReport`].
-///
-/// On the candidate-set path the report records the *weakest* backend
-/// that answered any zone (by [`SolverBackend::rank`]); the full
-/// per-zone provenance is in [`SagReport::zone_solvers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnsweringSolver {
-    /// SAMC answered.
-    Samc,
-    /// The exact ILPQC answered (check the budget spent and the
-    /// configured node limit to judge whether it proved optimality).
-    Ilpqc,
-    /// The LP-rounding backend answered — feasible, no optimality
-    /// certificate, but LP-informed.
-    LpRound,
-    /// The local-search backend answered — feasible, no certificate.
-    LocalSearch,
-    /// The greedy set cover answered (chosen by policy or reached as
-    /// the last rung of the ladder) — feasible, no certificate.
-    GreedyFallback,
-}
-
-impl AnsweringSolver {
-    /// Maps a committed backend identity onto the report enum.
-    pub fn from_backend(backend: SolverBackend) -> AnsweringSolver {
-        match backend {
-            SolverBackend::ExactIlp => AnsweringSolver::Ilpqc,
-            SolverBackend::LpRound => AnsweringSolver::LpRound,
-            SolverBackend::LocalSearch => AnsweringSolver::LocalSearch,
-            SolverBackend::Greedy => AnsweringSolver::GreedyFallback,
-        }
-    }
 }
 
 /// Per-zone solver provenance recorded in [`SagReport::zone_solvers`].
@@ -165,12 +131,10 @@ pub struct SagReport {
     pub plan: ConnectivityPlan,
     /// Upper-tier powers (UCPO).
     pub upper_power: UpperTierPower,
-    /// The solver that produced `coverage` (records degradation; the
-    /// weakest rung across zones on the candidate-set path).
-    pub solver: AnsweringSolver,
     /// Per-zone backend + selection-reason records from the
     /// candidate-set lower tier, in zone index order (empty on the
-    /// SAMC path, which has no backend choice).
+    /// SAMC path, which has no backend choice). [`SagReport::solver`]
+    /// summarises them.
     pub zone_solvers: Vec<ZoneSolverRecord>,
     /// Budget the lower-tier solve consumed before answering.
     pub budget_spent: Spent,
@@ -192,6 +156,16 @@ pub struct PowerSummary {
 }
 
 impl SagReport {
+    /// The backend that produced `coverage`: the weakest rung (highest
+    /// [`SolverBackend::rank`]) that answered any zone, so degradation
+    /// shows. `None` means SAMC answered — it has no backend choice.
+    pub fn solver(&self) -> Option<SolverBackend> {
+        self.zone_solvers
+            .iter()
+            .map(|r| r.backend)
+            .max_by_key(|b| b.rank())
+    }
+
     /// Power totals.
     pub fn power_summary(&self) -> PowerSummary {
         let lower = self.lower_power.total();
@@ -245,8 +219,10 @@ impl fmt::Display for SagReport {
         let p = self.power_summary();
         writeln!(
             f,
-            "solver: {:?} ({} nodes, {:.1?})",
-            self.solver, self.budget_spent.nodes, self.budget_spent.elapsed
+            "solver: {} ({} nodes, {:.1?})",
+            self.solver().map_or("samc", SolverBackend::name),
+            self.budget_spent.nodes,
+            self.budget_spent.elapsed
         )?;
         writeln!(
             f,
@@ -340,10 +316,10 @@ fn run_sag_inner(scenario: &Scenario, config: &SagPipelineConfig) -> SagResult<S
         }))
     });
     scenario.validate()?; // Step 1: ingress gate
-    let (coverage, solver, budget_spent, zone_solvers) = solve_lower_tier(scenario, config)?;
+    let (coverage, budget_spent, zone_solvers) = solve_lower_tier(scenario, config)?;
     // The lower tier answered, so whatever it legitimately consumed
-    // must not be double-billed to the polynomial tail: rebudget the
-    // tail from what actually remains on *every* rung.
+    // must not be double-billed to the polynomial tail: on *every* rung
+    // the tail keeps only the cancel flag.
     let tail = tail_budget(&config.budget);
     let lower_power = pro_with_budget(scenario, &coverage, &tail)?; // Step 3
     let plan = mbmc(scenario, &coverage)?; // Step 4
@@ -369,7 +345,6 @@ fn run_sag_inner(scenario: &Scenario, config: &SagPipelineConfig) -> SagResult<S
         lower_power,
         plan,
         upper_power,
-        solver,
         zone_solvers,
         budget_spent,
         metrics: StageMetrics::default(),
@@ -377,27 +352,22 @@ fn run_sag_inner(scenario: &Scenario, config: &SagPipelineConfig) -> SagResult<S
 }
 
 /// Budget for the polynomial tail stages (PRO → MBMC → UCPO) after a
-/// successful lower-tier solve.
+/// successful lower-tier solve: only the external cancel flag carries
+/// over.
 ///
-/// The node cap is a lower-tier (branch-and-bound) resource and never
-/// carries over. A still-live deadline is kept at the same absolute
-/// cutoff; an already-spent deadline is dropped rather than inherited —
-/// the expensive search has answered, and failing the cheap tail over
-/// time the lower tier legitimately consumed would turn a successful
-/// solve (or degradation) into [`SagError::BudgetExceeded`] — the
-/// shared-deadline double-spend bug. External cancellation is always
-/// preserved.
+/// The node cap is a lower-tier (branch-and-bound) resource. The
+/// deadline is dropped too, live or spent: the expensive search has
+/// answered, and a deadline still live by a fraction of a millisecond
+/// when it returns would fail the cheap tail over time the lower tier
+/// legitimately consumed, turning a successful solve (or degradation)
+/// into [`SagError::BudgetExceeded`] by timing alone — the
+/// shared-deadline double-spend bug. A successful lower tier therefore
+/// means the tail completes; external cancellation still stops it.
 fn tail_budget(budget: &Budget) -> Budget {
-    let mut tail = Budget::unlimited();
-    if let Some(flag) = budget.cancel_flag() {
-        tail = tail.with_cancel_flag(flag);
+    match budget.cancel_flag() {
+        Some(flag) => Budget::unlimited().with_cancel_flag(flag),
+        None => Budget::unlimited(),
     }
-    if let Some(at) = budget.deadline() {
-        if Instant::now() < at {
-            tail = tail.with_deadline_until(at);
-        }
-    }
-    tail
 }
 
 /// Step 2 with backend selection: SAMC runs as-is; the candidate-set
@@ -410,12 +380,7 @@ fn tail_budget(budget: &Budget) -> Budget {
 fn solve_lower_tier(
     scenario: &Scenario,
     config: &SagPipelineConfig,
-) -> SagResult<(
-    CoverageSolution,
-    AnsweringSolver,
-    Spent,
-    Vec<ZoneSolverRecord>,
-)> {
+) -> SagResult<(CoverageSolution, Spent, Vec<ZoneSolverRecord>)> {
     let stage_started = Instant::now();
     match config.lower_solver {
         LowerSolver::Samc => {
@@ -425,7 +390,7 @@ fn solve_lower_tier(
                 nodes: 0,
                 elapsed: stage_started.elapsed(),
             };
-            Ok((coverage, AnsweringSolver::Samc, spent, Vec::new()))
+            Ok((coverage, spent, Vec::new()))
         }
         LowerSolver::IlpqcWithGreedyFallback | LowerSolver::IlpqcStrict => {
             let zones = observed_zone_partition(scenario);
@@ -441,40 +406,22 @@ fn solve_lower_tier(
             let outcomes = engine::run_zones("ilpqc", zones.len(), config.threads, |zi| {
                 let (zsc, _back_map) = zone_scenario(scenario, &zones[zi]);
                 let cands = iac_candidates(&zsc);
-                let SolveOutcome {
-                    solution,
-                    backend,
-                    reason,
-                    optimal,
-                    spent,
-                } = builder.solve_zone(&zsc, &cands, &shared)?;
-                Ok((
-                    engine::zone_outcome(&base, &zones[zi], solution),
-                    backend,
-                    reason,
-                    optimal,
-                    spent,
-                ))
+                let out = builder.solve_zone(&zsc, &cands, &shared)?;
+                let record = ZoneSolverRecord {
+                    zone: zi,
+                    backend: out.backend,
+                    reason: out.reason,
+                    optimal: out.optimal,
+                };
+                let part = engine::zone_outcome(&base, &zones[zi], out.solution);
+                Ok((part, record, out.spent.nodes))
             })?;
             let mut nodes = 0;
-            let mut weakest = SolverBackend::ExactIlp;
             let mut zone_solvers = Vec::with_capacity(outcomes.len());
             let mut parts = Vec::with_capacity(outcomes.len());
-            for (zone, (part, backend, reason, optimal, zone_spent)) in
-                outcomes.into_iter().enumerate()
-            {
-                nodes += zone_spent.nodes;
-                // The report's summary field records the weakest rung
-                // that answered any zone.
-                if backend.rank() > weakest.rank() {
-                    weakest = backend;
-                }
-                zone_solvers.push(ZoneSolverRecord {
-                    zone,
-                    backend,
-                    reason,
-                    optimal,
-                });
+            for (part, record, zone_nodes) in outcomes {
+                nodes += zone_nodes;
+                zone_solvers.push(record);
                 parts.push(part);
             }
             let coverage = engine::merge_zone_outcomes(scenario, &zones, parts, &base, "ilpqc")?;
@@ -482,12 +429,7 @@ fn solve_lower_tier(
                 nodes,
                 elapsed: stage_started.elapsed(),
             };
-            Ok((
-                coverage,
-                AnsweringSolver::from_backend(weakest),
-                spent,
-                zone_solvers,
-            ))
+            Ok((coverage, spent, zone_solvers))
         }
     }
 }
@@ -577,7 +519,7 @@ mod tests {
     #[test]
     fn default_pipeline_records_samc_as_answering_solver() {
         let report = run_sag(&scenario(2)).unwrap();
-        assert_eq!(report.solver, AnsweringSolver::Samc);
+        assert_eq!(report.solver(), None);
     }
 
     #[test]
@@ -588,7 +530,7 @@ mod tests {
             ..Default::default()
         };
         let report = run_sag_with(&sc, config).unwrap();
-        assert_eq!(report.solver, AnsweringSolver::Ilpqc);
+        assert_eq!(report.solver(), Some(SolverBackend::ExactIlp));
         assert!(report.budget_spent.nodes >= 1);
         assert!(is_feasible(&sc, &report.coverage));
         // Small zones: adaptive selection must have picked the exact
@@ -611,7 +553,7 @@ mod tests {
             ..Default::default()
         };
         let report = run_sag_with(&sc, config).unwrap();
-        assert_eq!(report.solver, AnsweringSolver::GreedyFallback);
+        assert_eq!(report.solver(), Some(SolverBackend::Greedy));
         assert!(is_feasible(&sc, &report.coverage));
         assert!(allocation_is_feasible(
             &sc,
@@ -636,7 +578,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(fixed.solver, AnsweringSolver::LpRound);
+        assert_eq!(fixed.solver(), Some(SolverBackend::LpRound));
         assert!(is_feasible(&sc, &fixed.coverage));
         assert!(fixed
             .zone_solvers
@@ -656,7 +598,7 @@ mod tests {
         )
         .unwrap();
         // Rank arbitration: the exact arm wins whenever it answers.
-        assert_eq!(raced.solver, AnsweringSolver::Ilpqc);
+        assert_eq!(raced.solver(), Some(SolverBackend::ExactIlp));
         assert!(raced
             .zone_solvers
             .iter()
@@ -698,11 +640,11 @@ mod tests {
     }
 
     #[test]
-    fn tail_budget_keeps_a_live_deadline_at_the_same_cutoff() {
+    fn tail_budget_drops_a_live_deadline_too() {
         let live = Budget::unlimited().with_deadline(std::time::Duration::from_secs(3600));
-        let at = live.deadline().unwrap();
+        assert!(live.deadline().is_some());
         let tail = tail_budget(&live);
-        assert_eq!(tail.deadline(), Some(at));
+        assert!(tail.deadline().is_none());
     }
 
     #[test]
@@ -755,7 +697,7 @@ mod tests {
             assert_eq!(seq.coverage, par.coverage, "{solver:?}");
             assert_eq!(seq.lower_power.powers, par.lower_power.powers);
             assert_eq!(seq.upper_power.hop_power, par.upper_power.hop_power);
-            assert_eq!(seq.solver, par.solver);
+            assert_eq!(seq.solver(), par.solver());
         }
     }
 

@@ -8,15 +8,18 @@
 //! SNR allow, letting even more relays sleep.
 //!
 //! [`schedule_slot`] computes, for one slot's active set, a minimal-ish
-//! awake relay subset (greedy set cover over the *already placed* relays
-//! — no repositioning at runtime) with a feasible reassignment, and
+//! awake relay subset (the shared `sag-hitting` greedy cover over the
+//! *already placed* relays — no repositioning at runtime) with a
+//! feasible reassignment, and
 //! [`energy_over_horizon`] integrates PRO-style powers over a slot
 //! sequence.
 
-use sag_geom::Point;
+use sag_geom::{Circle, Point};
+use sag_hitting::{greedy::greedy_cover, CoverInstance};
 
 use crate::coverage::{snr_violations, CoverageSolution};
 use crate::error::{SagError, SagResult};
+use crate::fallback::nearest_assignment;
 use crate::model::Scenario;
 use crate::pro::{pro, PowerAllocation};
 
@@ -69,16 +72,12 @@ pub fn schedule_slot(
 
     // Greedy cover of the active set by placed relays (distance only),
     // then fall back to waking more relays while SNR fails.
-    let eligible: Vec<Vec<usize>> = active
+    let circles: Vec<Circle> = active
         .iter()
-        .map(|&j| {
-            let sub = &scenario.subscribers[j];
-            (0..placement.relays.len())
-                .filter(|&r| placement.relays[r].distance(sub.position) <= sub.distance_req + 1e-9)
-                .collect()
-        })
+        .map(|&j| scenario.subscribers[j].feasible_circle())
         .collect();
-    if eligible.iter().any(Vec::is_empty) {
+    let cover = CoverInstance::new(&circles, &placement.relays);
+    if (0..cover.n_elements()).any(|i| cover.eligible(i).is_empty()) {
         return Err(SagError::Infeasible(
             "sleep: an active subscriber is out of range of every placed relay".into(),
         ));
@@ -86,9 +85,12 @@ pub fn schedule_slot(
 
     // Candidate awake sets in increasing size: greedy cover first, then
     // progressively add the original servers until feasible.
-    let mut awake = greedy_cover(placement.relays.len(), &eligible);
+    let mut awake = greedy_cover(&cover, &vec![1; active.len()]).map_err(|_| {
+        SagError::Infeasible("sleep: greedy cover stalled on the placed relays".into())
+    })?;
+    awake.sort_unstable();
     loop {
-        match try_slot(scenario, placement, active, &eligible, &awake) {
+        match try_slot(scenario, placement, active, &cover, &awake) {
             Some(plan) => return Ok(plan),
             None => {
                 // Wake the paper-assigned server of the worst subscriber
@@ -114,38 +116,13 @@ pub fn schedule_slot(
     }
 }
 
-fn greedy_cover(n_relays: usize, eligible: &[Vec<usize>]) -> Vec<usize> {
-    let mut covered = vec![false; eligible.len()];
-    let mut awake: Vec<usize> = Vec::new();
-    while covered.iter().any(|&c| !c) {
-        let best = (0..n_relays)
-            .filter(|r| !awake.contains(r))
-            .max_by_key(|&r| {
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, e)| !covered[*i] && e.contains(&r))
-                    .count()
-            })
-            .expect("eligibility pre-checked");
-        awake.push(best);
-        for (i, e) in eligible.iter().enumerate() {
-            if e.contains(&best) {
-                covered[i] = true;
-            }
-        }
-    }
-    awake.sort_unstable();
-    awake
-}
-
 /// Attempts one awake set: nearest-awake assignment, SNR check on the
 /// reduced network, PRO powers. Returns `None` when SNR fails.
 fn try_slot(
     scenario: &Scenario,
     placement: &CoverageSolution,
     active: &[usize],
-    eligible: &[Vec<usize>],
+    cover: &CoverInstance,
     awake: &[usize],
 ) -> Option<SlotPlan> {
     // Build the reduced scenario: only active subscribers; only awake
@@ -157,21 +134,7 @@ fn try_slot(
         params: scenario.params,
     };
     let awake_pos: Vec<Point> = awake.iter().map(|&r| placement.relays[r]).collect();
-    // Nearest awake eligible relay per active subscriber.
-    let mut assignment = Vec::with_capacity(active.len());
-    for (i, &_j) in active.iter().enumerate() {
-        let spos = sub_scenario.subscribers[i].position;
-        let best = eligible[i]
-            .iter()
-            .filter_map(|r| awake.iter().position(|&a| a == *r))
-            .min_by(|&a, &b| {
-                sag_geom::float::total_cmp(
-                    &awake_pos[a].distance(spos),
-                    &awake_pos[b].distance(spos),
-                )
-            })?;
-        assignment.push(best);
-    }
+    let assignment = nearest_assignment(&sub_scenario, &placement.relays, cover, awake)?;
     if !snr_violations(&sub_scenario, &awake_pos, &assignment).is_empty() {
         return None;
     }
@@ -294,6 +257,19 @@ mod tests {
         assert!(plans[0].power >= plans[1].power);
         assert_eq!(plans[2].power, 0.0);
         assert!((energy - (plans[0].power + plans[1].power)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn greedy_wake_ties_go_to_the_lowest_relay_index() {
+        // Two placed relays serve the one active subscriber equally
+        // well: the lower index stays awake.
+        let sc = scenario();
+        let placement = CoverageSolution {
+            relays: vec![Point::new(10.0, 0.0), Point::new(-10.0, 0.0)],
+            assignment: vec![0, 0, 0, 0],
+        };
+        let plan = schedule_slot(&sc, &placement, &[0]).unwrap();
+        assert_eq!(plan.awake, vec![0]);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   candidates with ≥ 0.5 mass, patch uncovered subscribers with their
 //!   highest-mass eligible candidate, then run the shared SNR
 //!   repair + prune pass. One LP solve instead of a tree search.
-//! * [`LocalSearch`] — greedy start, then deterministic drop and
-//!   2-for-1 swap passes that shrink the cover, then SNR repair.
-//! * [`Greedy`] — the classic greedy set cover ([`crate::fallback`]);
-//!   the last rung, deliberately budget-oblivious.
+//! * [`LocalSearch`] — the Mustafa–Ray `b`-swap local search from
+//!   `sag-hitting` (greedy start, improving swaps), then SNR repair.
+//! * [`Greedy`] — the greedy set cover from `sag-hitting` plus SNR
+//!   repair ([`crate::fallback`]); the last rung, deliberately
+//!   budget-oblivious.
 //!
 //! # Selection and determinism
 //!
@@ -55,6 +56,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use sag_geom::Point;
+use sag_hitting::local_search::local_search_cover;
+use sag_hitting::CoverError;
 use sag_lp::{Budget, Spent};
 
 use crate::coverage::CoverageSolution;
@@ -71,7 +74,7 @@ pub enum SolverBackend {
     ExactIlp,
     /// LP-relaxation rounding with feasibility repair.
     LpRound,
-    /// Swap/drop local search from a greedy start.
+    /// Mustafa–Ray swap local search from a greedy start.
     LocalSearch,
     /// Greedy set cover.
     Greedy,
@@ -294,8 +297,11 @@ impl CoverageSolver for LpRound {
     ) -> SagResult<BackendAnswer> {
         let _stage = sag_obs::span("lp_round");
         let started = Instant::now();
-        let eligible = fallback::eligibility(scenario, candidates, "lp_round")?;
-        let mut lp = build_cover_lp(candidates.len(), &eligible);
+        let cover = fallback::eligibility(scenario, candidates, "lp_round")?;
+        let mut lp = build_cover_lp(
+            candidates.len(),
+            (0..cover.n_elements()).map(|j| cover.eligible(j)),
+        );
         lp.set_budget(budget.clone());
         let sol = lp.solve().map_err(|e| {
             if e == sag_lp::LpError::Cancelled {
@@ -316,7 +322,8 @@ impl CoverageSolver for LpRound {
         // subscriber whose mass is spread thin uncovered; the repair
         // pass below patches exactly those.
         let mut selected: Vec<usize> = (0..candidates.len()).filter(|&c| sol.x[c] >= 0.5).collect();
-        for e in &eligible {
+        for j in 0..cover.n_elements() {
+            let e = cover.eligible(j);
             if e.iter().any(|c| selected.binary_search(c).is_ok()) {
                 continue;
             }
@@ -336,7 +343,7 @@ impl CoverageSolver for LpRound {
         }
 
         let solution =
-            fallback::repair_and_prune(scenario, candidates, &eligible, selected, "lp_round")?;
+            fallback::repair_and_prune(scenario, candidates, &cover, selected, "lp_round")?;
         Ok(BackendAnswer {
             solution,
             optimal: false,
@@ -348,103 +355,13 @@ impl CoverageSolver for LpRound {
     }
 }
 
-/// The local-search backend: greedy start, then deterministic
-/// improvement passes — drop redundant relays, replace relay *pairs*
-/// whose joint duty a single unselected candidate can absorb — up to
-/// [`LocalSearch::max_rounds`] rounds, then the shared SNR
-/// repair + prune. Iteration order is fixed (ascending indices), so the
-/// result is a pure function of the inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalSearch {
-    /// Improvement rounds before settling (each round is one drop pass
-    /// plus one swap pass; the loop exits early when a round finds
-    /// nothing).
-    pub max_rounds: usize,
-}
-
-impl Default for LocalSearch {
-    fn default() -> Self {
-        LocalSearch { max_rounds: 4 }
-    }
-}
-
-impl LocalSearch {
-    /// Removes every selected candidate whose subscribers are all
-    /// covered by another selected candidate. Returns `true` when
-    /// anything was dropped.
-    fn drop_pass(eligible: &[Vec<usize>], selected: &mut Vec<usize>) -> bool {
-        let mut counts = vec![0usize; eligible.len()];
-        for (j, e) in eligible.iter().enumerate() {
-            counts[j] = e
-                .iter()
-                .filter(|c| selected.binary_search(c).is_ok())
-                .count();
-        }
-        let mut dropped = false;
-        let mut i = 0;
-        while i < selected.len() {
-            let c = selected[i];
-            let redundant = eligible
-                .iter()
-                .enumerate()
-                .all(|(j, e)| e.binary_search(&c).is_err() || counts[j] >= 2);
-            if redundant {
-                for (j, e) in eligible.iter().enumerate() {
-                    if e.binary_search(&c).is_ok() {
-                        counts[j] -= 1;
-                    }
-                }
-                selected.remove(i);
-                dropped = true;
-            } else {
-                i += 1;
-            }
-        }
-        dropped
-    }
-
-    /// One 2-for-1 swap: find a selected pair whose sole subscribers
-    /// can all be served by a single unselected candidate (or by the
-    /// rest of the selection) and apply the first such move in
-    /// ascending index order. Returns `true` when a move was applied.
-    fn swap_pass(eligible: &[Vec<usize>], n_cands: usize, selected: &mut Vec<usize>) -> bool {
-        for ai in 0..selected.len() {
-            for bi in ai + 1..selected.len() {
-                let (a, b) = (selected[ai], selected[bi]);
-                // Subscribers whose only selected coverers are a and/or b.
-                let must: Vec<usize> = eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| {
-                        (e.binary_search(&a).is_ok() || e.binary_search(&b).is_ok())
-                            && !e
-                                .iter()
-                                .any(|&c| c != a && c != b && selected.binary_search(&c).is_ok())
-                    })
-                    .map(|(j, _)| j)
-                    .collect();
-                if must.is_empty() {
-                    // Jointly redundant pair: drop both outright.
-                    selected.retain(|&s| s != a && s != b);
-                    return true;
-                }
-                let replacement = (0..n_cands).find(|&c| {
-                    selected.binary_search(&c).is_err()
-                        && must.iter().all(|&j| eligible[j].binary_search(&c).is_ok())
-                });
-                if let Some(c) = replacement {
-                    selected.retain(|&s| s != a && s != b);
-                    let pos = match selected.binary_search(&c) {
-                        Ok(p) | Err(p) => p,
-                    };
-                    selected.insert(pos, c);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
+/// The local-search backend: the shared Mustafa–Ray `b`-swap search
+/// ([`sag_hitting::local_search::local_search_cover`], the same search
+/// SAMC Step 4 runs) over the zone's cover instance, then the shared
+/// SNR repair + prune. The search is a pure function of the inputs and
+/// polls the budget between improvement rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LocalSearch;
 
 impl CoverageSolver for LocalSearch {
     fn backend(&self) -> SolverBackend {
@@ -459,28 +376,23 @@ impl CoverageSolver for LocalSearch {
     ) -> SagResult<BackendAnswer> {
         let _stage = sag_obs::span("local_search");
         let started = Instant::now();
-        let interrupted = || SagError::BudgetExceeded {
-            stage: "local_search",
-            spent: Spent {
-                nodes: 0,
-                elapsed: started.elapsed(),
-            },
-        };
-        let eligible = fallback::eligibility(scenario, candidates, "local_search")?;
-        let mut selected = fallback::greedy_select(&eligible, candidates.len(), "local_search")?;
-        for _ in 0..self.max_rounds {
-            budget.check_interrupt().map_err(|_| interrupted())?;
-            let mut improved = LocalSearch::drop_pass(&eligible, &mut selected);
-            while LocalSearch::swap_pass(&eligible, candidates.len(), &mut selected) {
-                improved = true;
-                budget.check_interrupt().map_err(|_| interrupted())?;
-            }
-            if !improved {
-                break;
-            }
-        }
+        let cover = fallback::eligibility(scenario, candidates, "local_search")?;
+        let mut selected = local_search_cover(&cover, || budget.check_interrupt().is_err())
+            .map_err(|e| match e {
+                CoverError::Interrupted => SagError::BudgetExceeded {
+                    stage: "local_search",
+                    spent: Spent {
+                        nodes: 0,
+                        elapsed: started.elapsed(),
+                    },
+                },
+                CoverError::Stalled { .. } => SagError::Infeasible(
+                    "local_search: greedy start stalled before covering every subscriber".into(),
+                ),
+            })?;
+        selected.sort_unstable();
         let solution =
-            fallback::repair_and_prune(scenario, candidates, &eligible, selected, "local_search")?;
+            fallback::repair_and_prune(scenario, candidates, &cover, selected, "local_search")?;
         Ok(BackendAnswer {
             solution,
             optimal: false,
@@ -531,7 +443,7 @@ fn run_backend(
     match backend {
         SolverBackend::ExactIlp => ExactIlp::default().solve(scenario, candidates, budget),
         SolverBackend::LpRound => LpRound.solve(scenario, candidates, budget),
-        SolverBackend::LocalSearch => LocalSearch::default().solve(scenario, candidates, budget),
+        SolverBackend::LocalSearch => LocalSearch.solve(scenario, candidates, budget),
         SolverBackend::Greedy => Greedy.solve(scenario, candidates, budget),
     }
 }

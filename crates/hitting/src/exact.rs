@@ -36,7 +36,7 @@ pub fn exact_hitting_set_indices(inst: &DiskInstance) -> Vec<usize> {
     // For each disk, the candidates (positions in `cands`) that hit it.
     let mut hitters: Vec<Vec<usize>> = vec![Vec::new(); n_disks];
     for (ci, &c) in cands.iter().enumerate() {
-        for &d in inst.hit_by(c) {
+        for &d in inst.cover().covers(c) {
             hitters[d].push(ci);
         }
     }
@@ -121,7 +121,7 @@ pub fn exact_hitting_set_indices(inst: &DiskInstance) -> Vec<usize> {
         }
     }
 
-    let cand_pos_hit = |ci: usize| -> Vec<usize> { inst.hit_by(cands[ci]).to_vec() };
+    let cand_pos_hit = |ci: usize| -> Vec<usize> { inst.cover().covers(cands[ci]).to_vec() };
     let mut hit_count = vec![0u32; n_disks];
     let mut chosen = Vec::new();
     search(
@@ -223,7 +223,7 @@ mod tests {
                         .filter(|&i| mask & (1 << i) != 0)
                         .map(|i| cands[i])
                         .collect();
-                    if inst.indices_hit_all(&subset) {
+                    if inst.cover().is_cover(&subset) {
                         found_smaller = true;
                         break;
                     }

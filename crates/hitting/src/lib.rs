@@ -1,23 +1,33 @@
-//! # sag-hitting — geometric minimum hitting set
+//! # sag-hitting — the workspace's set-cover stack
 //!
-//! Step 4 of the paper's SAMC algorithm covers each zone's subscribers by
-//! solving a *minimum hitting set* over their feasible-coverage disks:
-//! find the fewest points (relay positions) such that every disk contains
-//! at least one point. The paper adopts the Mustafa–Ray local-search PTAS
-//! \[5\] for this step.
+//! Every lower-tier path in this workspace solves the same problem:
+//! cover a set of elements (subscribers' feasible circles, disks to
+//! hit) with the fewest points from a finite candidate set. This crate
+//! holds the one implementation of each heuristic for it:
 //!
-//! Three solvers are provided:
-//!
-//! * [`greedy::greedy_hitting_set`] — classic greedy (ln n approximation),
-//! * [`local_search::local_search_hitting_set`] — greedy start plus
-//!   Mustafa–Ray-style `b`-swap local search (the paper's (1+ε) PTAS
-//!   family; ε shrinks as the swap size grows),
+//! * [`CoverInstance`] — the instance, as CSR arrays in both directions
+//!   (candidate → covered elements, element → eligible candidates),
+//!   built from `(circles, candidate points)` with
+//!   [`sag_geom::Circle::contains`];
+//! * [`greedy::greedy_cover`] — greedy set multicover with a demand per
+//!   element (ln n approximation; ties go to the lowest candidate
+//!   index; a stall is a typed [`CoverError`], never a panic);
+//! * [`local_search::local_search_cover`] — greedy start plus
+//!   Mustafa–Ray `b`-swap local search (the paper's (1+ε) PTAS family
+//!   for Step 4 of SAMC; ε shrinks as the swap size grows);
 //! * [`exact::exact_hitting_set`] — branch-and-bound optimum for small
-//!   instances (used to measure the others' gaps in the ablation bench).
+//!   disk families (SAMC's last retry on small zones).
 //!
-//! Candidate points follow the standard normalisation: any hitting set can
-//! be moved onto disk centres and pairwise circle-intersection points
-//! without losing feasibility, so those finitely many candidates suffice.
+//! SAMC Step 4, the lower tier's greedy and local-search backends, the
+//! ILPQC eligibility lists, sleep scheduling and k-coverage all build a
+//! [`CoverInstance`] and run these functions. The shared entry points
+//! open a `hitting_set` span, so traces attribute their time under
+//! whichever stage called them.
+//!
+//! [`DiskInstance`] generates SAMC's candidates: any hitting set of a
+//! disk family can be moved onto disk centres and pairwise
+//! circle-intersection points without losing feasibility, so those
+//! finitely many candidates suffice.
 //!
 //! # Example
 //!
@@ -44,4 +54,4 @@ pub mod greedy;
 pub mod instance;
 pub mod local_search;
 
-pub use instance::DiskInstance;
+pub use instance::{CoverError, CoverInstance, DiskInstance};

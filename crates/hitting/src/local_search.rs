@@ -6,34 +6,23 @@
 //! PTAS for Step 4. This implementation starts from the greedy solution
 //! and applies swaps of size up to `b` (replace `k ≤ b` chosen points by
 //! `k − 1` candidates) until no swap improves — the canonical form of the
-//! algorithm.
+//! algorithm. It runs on any [`CoverInstance`], so the lower tier's
+//! local-search backend uses the same search as SAMC.
 
-use crate::greedy::greedy_hitting_set_indices;
-use crate::instance::DiskInstance;
+use crate::greedy::greedy;
+use crate::instance::{CoverError, CoverInstance, DiskInstance};
 use sag_geom::Point;
 
-/// Configuration for the local search.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalSearchConfig {
-    /// Maximum swap size `b` (remove up to `b`, insert up to `b − 1`).
-    /// The PTAS guarantee improves with `b`; runtime grows as
-    /// `n^{O(b)}`. `b = 2` or `3` is the practical sweet spot.
-    pub swap_size: usize,
-    /// Hard cap on improvement rounds (safety valve; the search strictly
-    /// shrinks the solution each round so it terminates on its own).
-    pub max_rounds: usize,
-}
+/// Maximum swap size `b` (remove up to `b`, insert up to `b − 1`). The
+/// PTAS guarantee improves with `b`; runtime grows as `n^{O(b)}`, and
+/// `b = 3` is the practical sweet spot.
+const SWAP_SIZE: usize = 3;
 
-impl Default for LocalSearchConfig {
-    fn default() -> Self {
-        LocalSearchConfig {
-            swap_size: 3,
-            max_rounds: 64,
-        }
-    }
-}
+/// Cap on improvement rounds (a safety valve: every round strictly
+/// shrinks the solution, so the search terminates on its own).
+const MAX_ROUNDS: usize = 64;
 
-/// Local-search hitting set with the default configuration.
+/// Local-search hitting set over a disk family.
 ///
 /// # Example
 /// ```
@@ -47,75 +36,78 @@ impl Default for LocalSearchConfig {
 /// assert!(inst.is_hitting_set(&hs));
 /// ```
 pub fn local_search_hitting_set(inst: &DiskInstance) -> Vec<Point> {
-    local_search_with(inst, LocalSearchConfig::default())
-        .into_iter()
-        .map(|c| inst.candidates()[c])
-        .collect()
+    let chosen = local_search_cover(inst.cover(), || false)
+        .expect("every disk centre is a candidate and nothing interrupts");
+    inst.points_of(&chosen)
 }
 
-/// Local-search hitting set with explicit configuration; returns candidate
-/// indices.
+/// Local search over a cover instance (demand 1 per element): the
+/// greedy cover, then improving `b`-swaps until none applies.
+/// `interrupted` is polled before every improvement round. Returns the
+/// chosen candidate indices.
 ///
-/// # Panics
-/// Panics if `config.swap_size == 0`.
-pub fn local_search_with(inst: &DiskInstance, config: LocalSearchConfig) -> Vec<usize> {
-    assert!(config.swap_size >= 1, "swap size must be ≥ 1");
-    let mut current = greedy_hitting_set_indices(inst);
-    for _ in 0..config.max_rounds {
-        match improve_once(inst, &current, config.swap_size) {
+/// # Errors
+/// [`CoverError::Stalled`] when some element has no candidate;
+/// [`CoverError::Interrupted`] when `interrupted` returns `true`.
+pub fn local_search_cover(
+    inst: &CoverInstance,
+    mut interrupted: impl FnMut() -> bool,
+) -> Result<Vec<usize>, CoverError> {
+    let _span = sag_obs::span("hitting_set");
+    let mut current = greedy(inst, &vec![1; inst.n_elements()])?;
+    for _ in 0..MAX_ROUNDS {
+        if interrupted() {
+            return Err(CoverError::Interrupted);
+        }
+        match improve_once(inst, &current) {
             Some(next) => current = next,
             None => break,
         }
     }
-    current
+    Ok(current)
 }
 
 /// Tries one improving swap: remove `k` chosen points and re-cover the
-/// disks they exclusively hit with `k − 1` candidates. Returns the
+/// elements they exclusively hit with `k − 1` candidates. Returns the
 /// improved solution, or `None` at a local optimum.
-fn improve_once(inst: &DiskInstance, current: &[usize], b: usize) -> Option<Vec<usize>> {
-    // Fast path: try dropping a single redundant point (k = 1 swap).
-    for skip in 0..current.len() {
-        let rest: Vec<usize> = current
+fn improve_once(inst: &CoverInstance, current: &[usize]) -> Option<Vec<usize>> {
+    let without = |removal: &[usize]| -> Vec<usize> {
+        current
             .iter()
             .enumerate()
-            .filter_map(|(i, &c)| (i != skip).then_some(c))
-            .collect();
-        if inst.indices_hit_all(&rest) {
+            .filter_map(|(i, &c)| (!removal.contains(&i)).then_some(c))
+            .collect()
+    };
+    // Fast path: try dropping a single redundant point (k = 1 swap).
+    for skip in 0..current.len() {
+        let rest = without(&[skip]);
+        if inst.is_cover(&rest) {
             return Some(rest);
         }
     }
-    let all_cands: Vec<usize> = (0..inst.candidates().len()).collect();
     // k-swaps for k = 2..=b: remove k, add k−1.
-    for k in 2..=b.min(current.len()) {
-        let removals = combinations(current.len(), k);
-        for removal in removals {
-            let rest: Vec<usize> = current
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| (!removal.contains(&i)).then_some(c))
-                .collect();
-            // Disks uncovered after removal.
-            let mut hit = vec![false; inst.len()];
+    for k in 2..=SWAP_SIZE.min(current.len()) {
+        for removal in combinations(current.len(), k) {
+            let rest = without(&removal);
+            // Elements uncovered after removal.
+            let mut hit = vec![false; inst.n_elements()];
             for &c in &rest {
-                for &d in inst.hit_by(c) {
-                    hit[d] = true;
+                for &e in inst.covers(c) {
+                    hit[e] = true;
                 }
             }
-            let unhit: Vec<usize> = (0..inst.len()).filter(|&d| !hit[d]).collect();
+            let unhit: Vec<usize> = (0..inst.n_elements()).filter(|&e| !hit[e]).collect();
             if unhit.is_empty() {
                 return Some(rest); // removal alone suffices (stronger than a swap)
             }
             // Candidates that help at all.
-            let helpful: Vec<usize> = all_cands
-                .iter()
-                .copied()
-                .filter(|&c| inst.hit_by(c).iter().any(|&d| unhit.contains(&d)))
+            let helpful: Vec<usize> = (0..inst.n_candidates())
+                .filter(|&c| inst.covers(c).iter().any(|e| unhit.contains(e)))
                 .collect();
             if let Some(adds) = cover_with_at_most(inst, &unhit, &helpful, k - 1) {
                 let mut next = rest;
                 next.extend(adds);
-                debug_assert!(inst.indices_hit_all(&next));
+                debug_assert!(inst.is_cover(&next));
                 return Some(next);
             }
         }
@@ -124,9 +116,9 @@ fn improve_once(inst: &DiskInstance, current: &[usize], b: usize) -> Option<Vec<
 }
 
 /// Exhaustively searches for ≤ `limit` candidates covering all `unhit`
-/// disks (tiny instances: `limit ≤ b − 1 ≤ 2` in practice).
+/// elements (tiny instances: `limit ≤ b − 1 ≤ 2` in practice).
 fn cover_with_at_most(
-    inst: &DiskInstance,
+    inst: &CoverInstance,
     unhit: &[usize],
     helpful: &[usize],
     limit: usize,
@@ -137,14 +129,15 @@ fn cover_with_at_most(
     if limit == 0 {
         return None;
     }
-    // Branch on the first unhit disk.
+    // Branch on the first unhit element.
     let d = unhit[0];
     for &c in helpful {
-        if inst.hit_by(c).contains(&d) {
+        let covers = inst.covers(c);
+        if covers.binary_search(&d).is_ok() {
             let rest: Vec<usize> = unhit
                 .iter()
                 .copied()
-                .filter(|&u| !inst.hit_by(c).contains(&u))
+                .filter(|u| covers.binary_search(u).is_err())
                 .collect();
             if let Some(mut tail) = cover_with_at_most(inst, &rest, helpful, limit - 1) {
                 tail.push(c);
@@ -207,6 +200,15 @@ mod tests {
         let l = local_search_hitting_set(&inst);
         assert!(inst.is_hitting_set(&l));
         assert!(l.len() <= g.len());
+    }
+
+    #[test]
+    fn interrupt_stops_the_search() {
+        let inst = DiskInstance::new(vec![c(0.0, 0.0, 1.0)]);
+        assert_eq!(
+            local_search_cover(inst.cover(), || true),
+            Err(CoverError::Interrupted)
+        );
     }
 
     #[test]

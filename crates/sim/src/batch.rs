@@ -572,7 +572,10 @@ mod tests {
             let mut h = FpHasher::new("base");
             h.write_f64(x);
             let base = ctx.cached(h.finish(), || x * 10.0);
-            vec![Some(*base + seed as f64), seed.is_multiple_of(2).then_some(x)]
+            vec![
+                Some(*base + seed as f64),
+                seed.is_multiple_of(2).then_some(x),
+            ]
         };
         let reference = sweep_multi_reference(&xs, 2, cfg(4, 1), eval);
         for threads in [1, 3] {

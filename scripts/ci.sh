@@ -45,8 +45,9 @@ SAG_PROP_CASES=150 cargo test -p sag-integration --test churn_pipeline -q --offl
 # Solver-backend matrix: the integration suite must stay green when
 # SAG_SOLVER forces every zone onto a heuristic backend. Tests that
 # assert exact-path behaviour pin their builder explicitly, so the
-# override only reaches code that must be backend-agnostic.
-for solver in greedy lp_round; do
+# override only reaches code that must be backend-agnostic. The
+# local_search arm exercises the shared sag-hitting Mustafa–Ray search.
+for solver in greedy lp_round local_search; do
     echo "==> SAG_SOLVER=${solver} cargo test -p sag-integration -q --offline"
     SAG_SOLVER=${solver} cargo test -p sag-integration -q --offline
 done

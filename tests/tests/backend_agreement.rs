@@ -56,7 +56,7 @@ prop! {
                     "lp_round answered a zone the exact solver rejects"
                 );
                 prop_assert!(
-                    LocalSearch::default().solve(&sc, &cands, &budget).is_err(),
+                    LocalSearch.solve(&sc, &cands, &budget).is_err(),
                     "local_search answered a zone the exact solver rejects"
                 );
                 prop_assert!(
@@ -72,7 +72,7 @@ prop! {
 
         for (name, answer) in [
             ("lp_round", LpRound.solve(&sc, &cands, &budget)),
-            ("local_search", LocalSearch::default().solve(&sc, &cands, &budget)),
+            ("local_search", LocalSearch.solve(&sc, &cands, &budget)),
             ("greedy", Greedy.solve(&sc, &cands, &budget)),
         ] {
             let ans = match answer {

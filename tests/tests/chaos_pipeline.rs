@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use sag_testkit::prelude::*;
 
 use sag_core::model::Scenario;
-use sag_core::sag::{run_sag_with, AnsweringSolver, LowerSolver, SagPipelineConfig};
+use sag_core::sag::{run_sag_with, LowerSolver, SagPipelineConfig};
 use sag_core::validate::validate_report;
 use sag_core::{LoserFault, SagError, SolverBackend, SolverBuilder};
 use sag_integration::{apply_fault, scenario};
@@ -128,7 +128,7 @@ fn starved_ilpqc_falls_back_to_greedy_and_reports_it() {
         ..Default::default()
     };
     let report = run_sag_with(&sc, config).expect("fallback must answer");
-    assert_eq!(report.solver, AnsweringSolver::GreedyFallback);
+    assert_eq!(report.solver(), Some(SolverBackend::Greedy));
     // The recorded budget reflects what ILPQC burned before giving up.
     assert!(report.budget_spent.nodes <= 1);
     let audit = validate_report(&sc, &report);
@@ -265,7 +265,7 @@ fn portfolio_loser_death_leaves_the_winner_clean() {
             format!("{:?}|{:?}", faulted.coverage, faulted.lower_power),
             "{fault:?}: loser death changed the committed answer"
         );
-        assert_eq!(faulted.solver, clean.solver);
+        assert_eq!(faulted.solver(), clean.solver());
         let audit = validate_report(&sc, &faulted);
         assert!(audit.is_clean(), "{fault:?} dirtied the report:\n{audit}");
         // The loss is a counted event, not a silent one.

@@ -21,9 +21,7 @@ use std::time::{Duration, Instant};
 use sag_testkit::prelude::*;
 
 use sag_core::model::Scenario;
-use sag_core::sag::{
-    run_sag, run_sag_with, AnsweringSolver, LowerSolver, SagPipelineConfig, SagReport,
-};
+use sag_core::sag::{run_sag, run_sag_with, LowerSolver, SagPipelineConfig, SagReport};
 use sag_core::{SolverBackend, SolverBuilder};
 use sag_lp::Budget;
 use sag_obs::{JsonlSink, Recorder};
@@ -157,13 +155,35 @@ fn samc_run_emits_the_samc_stage_set() {
     let sc = build(8, 2, 11);
     let (result, events) = run_logged(&sc, SagPipelineConfig::default());
     let report = result.expect("golden scenario is feasible");
-    assert_eq!(report.solver, AnsweringSolver::Samc);
+    assert_eq!(report.solver(), None);
     let names = assert_well_formed(&events);
-    for stage in ["samc", "zone_partition", "pro", "mbmc", "ucpo"] {
+    for stage in [
+        "samc",
+        "zone_partition",
+        "hitting_set",
+        "pro",
+        "mbmc",
+        "ucpo",
+    ] {
         assert!(
             names.contains(&stage),
             "missing '{stage}' span in {names:?}"
         );
+    }
+    // SAMC Step 4: every hitting-set solve opens inside the samc span.
+    let mut open: Vec<&str> = Vec::new();
+    for ev in &events {
+        match *ev {
+            Ev::Enter(name, _) => {
+                if name == "hitting_set" {
+                    assert!(open.contains(&"samc"), "hitting_set outside samc: {open:?}");
+                }
+                open.push(name);
+            }
+            Ev::Exit(..) => {
+                open.pop();
+            }
+        }
     }
     for absent in ["ilpqc", "greedy_fallback"] {
         assert!(
@@ -188,7 +208,7 @@ fn greedy_fallback_run_records_its_rungs() {
     };
     let (result, events) = run_logged(&sc, config);
     let report = result.expect("fallback keeps the scenario solvable");
-    assert_eq!(report.solver, AnsweringSolver::GreedyFallback);
+    assert_eq!(report.solver(), Some(SolverBackend::Greedy));
     let names = assert_well_formed(&events);
     for stage in ["ilpqc", "greedy_fallback", "pro", "mbmc", "ucpo"] {
         assert!(
@@ -248,7 +268,7 @@ fn ilpqc_run_records_solver_work_counters() {
         ..Default::default()
     };
     let report = run_sag_with(&sc, config).expect("scenario is feasible");
-    assert_eq!(report.solver, AnsweringSolver::Ilpqc);
+    assert_eq!(report.solver(), Some(SolverBackend::ExactIlp));
     let m = &report.metrics;
     // Either numerical core may answer (sparse by default, dense under
     // `SAG_LP_ORACLE=1`); each records its own counter family.
@@ -416,5 +436,5 @@ fn obs_sink_failure_never_alters_results() {
         clean.n_connectivity_relays(),
         faulted.n_connectivity_relays()
     );
-    assert_eq!(clean.solver, faulted.solver);
+    assert_eq!(clean.solver(), faulted.solver());
 }

@@ -28,7 +28,7 @@ fn fingerprint(report: &SagReport) -> String {
         report.lower_power,
         report.plan,
         report.upper_power,
-        report.solver,
+        report.solver(),
         report.budget_spent.nodes,
     )
 }
