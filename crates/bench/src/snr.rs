@@ -1,28 +1,28 @@
-//! Brute-force vs incremental-ledger SNR benchmark (`BENCH_snr.json`).
+//! `snr` arm: brute-force vs incremental-ledger SNR (`BENCH_snr.json`).
 //!
 //! Replays a fixed sequence of relay-move probes against a 100-subscriber
 //! scenario twice: once recomputing every SNR from scratch with
 //! [`sag_core::coverage::snr_violations_brute`] (the pre-ledger hot
 //! path), and once applying each move as an `O(S)` delta to a shared
 //! [`sag_radio::InterferenceLedger`]. Both paths are checked for parity
-//! before timing, then the medians and their ratio are written as
-//! hand-rolled JSON — the CI gate asserts the speedup floor.
-//!
-//! Usage: `bench_snr [--out PATH] [--min-speedup X]`
+//! before timing; the gate is the ledger's median per-round speedup.
 
-use std::time::Duration;
-
-use sag_bench::bench_scenario;
-use sag_bench::harness::Bench;
 use sag_core::coverage::{interference_ledger, snr_violations_brute, snr_violations_ledger};
 use sag_core::model::Scenario;
 use sag_geom::Point;
 use sag_radio::InterferenceLedger;
 
+use crate::{bench_scenario, interleave, wall, Artefact, Gate};
+
 const SUBSCRIBERS: usize = 100;
 const FIELD: f64 = 800.0;
 const SEED: u64 = 4242;
 const PROBES: usize = 32;
+/// Interleaved brute/ledger rounds.
+const ROUNDS: usize = 11;
+/// Sweeps per sample: about 20 ms of brute-force work.
+const INNER_ITERS: u32 = 4;
+const MIN_SPEEDUP: f64 = 5.0;
 
 /// The benchmark workload: a placement, its nearest-relay assignment,
 /// and a deterministic cycle of relay displacement probes.
@@ -145,57 +145,7 @@ fn parity_check(w: &Workload) -> f64 {
     worst
 }
 
-fn json_escape_free(s: &str) -> &str {
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || "_-.".contains(c)),
-        "bench labels stay in the JSON-safe subset"
-    );
-    s
-}
-
-fn emit_json(
-    path: &str,
-    brute_ns: u128,
-    ledger_ns: u128,
-    speedup: f64,
-    parity: f64,
-    gate: &str,
-) -> std::io::Result<()> {
-    let body = format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"subscribers\": {},\n  \"relays\": {},\n  \"probes\": {},\n  \"hardware_threads\": {},\n  {},\n  \"brute_median_ns\": {},\n  \"ledger_median_ns\": {},\n  \"speedup\": {:.3},\n  \"parity_max_rel_err\": {:.3e},\n  \"gate\": \"{}\"\n}}\n",
-        json_escape_free("snr_move_probes"),
-        SUBSCRIBERS,
-        SUBSCRIBERS.div_ceil(2),
-        PROBES,
-        sag_bench::hardware_threads(),
-        sag_bench::solver_fields_json(),
-        brute_ns,
-        ledger_ns,
-        speedup,
-        parity,
-        gate,
-    );
-    std::fs::write(path, body)
-}
-
-fn main() {
-    let mut out_path = String::from("BENCH_snr.json");
-    let mut min_speedup: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a number");
-                min_speedup = Some(v.parse().expect("--min-speedup parses as f64"));
-            }
-            other => {
-                panic!("unknown argument {other}; usage: bench_snr [--out PATH] [--min-speedup X]")
-            }
-        }
-    }
-
+pub(crate) fn run() -> Artefact {
     let w = build_workload();
 
     // Parity gate before any timing: a fast wrong answer is worthless.
@@ -205,40 +155,29 @@ fn main() {
         "ledger/brute parity broken before timing: max rel err {parity:.3e}"
     );
     let brute_count = sweep_brute(&w);
-    let mut shared = interference_ledger(&w.scenario, &w.relays);
-    let ledger_count = sweep_ledger(&w, &mut shared);
+    let mut ledger = interference_ledger(&w.scenario, &w.relays);
+    let ledger_count = sweep_ledger(&w, &mut ledger);
     assert_eq!(
         brute_count, ledger_count,
         "violation counts diverge between brute and ledger sweeps"
     );
 
-    let mut bench = Bench::new("snr")
-        .samples(11)
-        .sample_target(Duration::from_millis(20));
-    let brute_ns = bench
-        .run("brute_sweep", || sweep_brute(&w))
-        .median
-        .as_nanos();
-    let mut ledger = interference_ledger(&w.scenario, &w.relays);
-    let ledger_ns = bench
-        .run("ledger_sweep", || sweep_ledger(&w, &mut ledger))
-        .median
-        .as_nanos();
-    bench.print();
-
-    let speedup = brute_ns as f64 / ledger_ns.max(1) as f64;
-    let (gate, enforce) =
-        sag_bench::resolve_gate(min_speedup.is_some(), "no --min-speedup floor given");
-    println!("speedup: {speedup:.2}x (parity max rel err {parity:.3e}) [{gate}]");
-    emit_json(&out_path, brute_ns, ledger_ns, speedup, parity, &gate)
-        .expect("write benchmark JSON");
-    println!("wrote {out_path}");
-
-    if enforce {
-        let floor = min_speedup.unwrap_or_default();
-        assert!(
-            speedup >= floor,
-            "speedup {speedup:.2}x is below the required {floor:.2}x floor"
-        );
-    }
+    let t = interleave(
+        ROUNDS,
+        INNER_ITERS,
+        &mut [
+            &mut wall(|| sweep_brute(&w)),
+            &mut wall(|| sweep_ledger(&w, &mut ledger)),
+        ],
+    );
+    let speedup = t[1].speedup;
+    Artefact::new("snr_move_probes")
+        .field("subscribers", SUBSCRIBERS)
+        .field("relays", SUBSCRIBERS.div_ceil(2))
+        .field("probes", PROBES)
+        .field("brute_median_ns", t[0].median_ns)
+        .field("ledger_median_ns", t[1].median_ns)
+        .field("speedup", format!("{speedup:.3}"))
+        .field("parity_max_rel_err", format!("{parity:.3e}"))
+        .gate(Gate::at_least("speedup", speedup, MIN_SPEEDUP))
 }

@@ -152,7 +152,7 @@ pub struct EventRecord {
 
 /// Aggregated outcome of a churn run: per-event records plus ladder and
 /// repair counters. Latency percentiles are the SLO surface gated by
-/// `BENCH_churn.json`.
+/// `bench churn` (the `p99_repair_ns` gate in `BENCH_churn.json`).
 #[derive(Debug, Clone, Default)]
 pub struct ChurnReport {
     /// One record per applied event, in stream order.

@@ -429,7 +429,7 @@ fn aggregate(
 /// grid, and a build-every-time cache, exactly as the runner worked
 /// before the batched engine. [`sweep_multi_with`] must stay
 /// byte-identical to this at any thread count, cache state and job
-/// order — the determinism suite and `bench_sweep` both diff against
+/// order — the determinism suite and `bench sweep` both diff against
 /// it.
 pub fn sweep_multi_reference<X, F>(
     xs: &[X],

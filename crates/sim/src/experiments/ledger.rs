@@ -21,7 +21,7 @@ use crate::table::Table;
 const PROBES: usize = 16;
 
 /// Relay layout + nearest assignment + deterministic move probes for a
-/// scenario (mirrors `bench_snr`, scaled down for the sweep).
+/// scenario (mirrors `bench snr`, scaled down for the sweep).
 struct ProbeWorkload {
     relays: Vec<Point>,
     assignment: Vec<usize>,
@@ -156,7 +156,7 @@ mod tests {
         }
         // At 100 subscribers the ledger must win clearly. Wall-clock
         // under test-mode contention is noisy, so the gate here is a
-        // loose sanity floor — the release-mode CI gate (bench_snr)
+        // loose sanity floor — the release-mode CI gate (`bench snr`)
         // enforces the real 5x bar.
         let last = t.xs.len() - 1;
         let speedup = t.series[2].cells[last].mean.expect("measured");

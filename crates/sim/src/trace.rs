@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use sag_obs::json;
 
 /// Churn repair-latency SLO the windowed series is judged against
-/// (matches the `bench_churn` p99 gate: 500 µs).
+/// (matches the `bench churn` p99 gate: 500 µs).
 pub const CHURN_SLO_NS: u64 = 500_000;
 
 /// One span assembled from its `span_enter`/`span_exit` lines.

@@ -59,58 +59,24 @@ done
 echo "==> SAG_SOLVER=greedy cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1"
 SAG_SOLVER=greedy cargo run --release --offline -p sag-sim --bin repro -- fig3e --runs 1 > /dev/null
 
-# SNR engine benchmark: brute vs ledger on the 100-subscriber probe
-# workload. Emits BENCH_snr.json and enforces the 5x speedup floor.
-run cargo run --release --offline -p sag-bench --bin bench_snr -- --out BENCH_snr.json --min-speedup 5
-
-# Observability overhead gate: the disabled instrumentation path must
-# stay within 2% of the hand-composed uninstrumented pipeline. Emits
-# BENCH_obs.json (parity between the paths is asserted before timing).
-run cargo run --release --offline -p sag-bench --bin bench_obs -- --out BENCH_obs.json --max-overhead 1.02
-
-# Zone-parallel engine gate: byte-identical deployments at threads=1
-# vs threads=4 (always asserted), and a >=2x lower-tier speedup on the
-# 8-zone probe. Emits BENCH_par.json. The speedup gate self-skips on
-# hosts without 4 hardware threads — a single-core runner physically
-# cannot show wall-clock speedup, but the determinism contract still
-# holds and is still enforced there.
-run cargo run --release --offline -p sag-bench --bin bench_par -- --out BENCH_par.json --min-speedup 2 --threads 4
-
-# LP core benchmark: dense tableau vs sparse revised simplex on the
-# 96-zone cover probe (>=3x floor) and cold vs warm-started B&B node
-# throughput (>=1.5x floor). Parity is asserted before any timing.
-# Emits BENCH_lp.json. Both gates self-skip below the 16-zone minimum
-# instance size (--zones), where constants, not asymptotics, decide.
-run cargo run --release --offline -p sag-bench --bin bench_lp -- --out BENCH_lp.json --min-speedup 3 --min-warm-speedup 1.5
-
-# Churn repair benchmark: incremental dirty-zone repair vs a
-# from-scratch SAMC per event on the 16-zone clustered probe. A mixed
-# seeded trace must replay audit-clean before timing. Emits
-# BENCH_churn.json with p50/p99 per-event repair latency; gates the
-# median repair speedup at >=5x and the p99 latency at <=500us. The
-# gate self-skips below the per-event timing floor, where the ratio
-# would measure the timer rather than the engine.
-run cargo run --release --offline -p sag-bench --bin bench_churn -- --out BENCH_churn.json --min-speedup 5 --max-p99-us 500
-
-# Solver-backend benchmark: adaptive per-zone selection vs an all-exact
-# lower tier on the 16-zone dense clustered probe. Both arms must pass
-# the independent report audit before timing (equal feasibility), and
-# the adaptive arm must route zones away from the exact backend. Emits
-# BENCH_backends.json; gates the lower-tier speedup at >=1.5x. The gate
-# self-skips below the timing floor, where the ratio would measure the
-# timer rather than the selector.
-run cargo run --release --offline -p sag-bench --bin bench_backends -- --out BENCH_backends.json --min-speedup 1.5
-
-# Batched sweep engine gate: the fingerprint-cached engine vs the
-# per-cell path on the Fig. 3(e)-shaped probe (scenarios fixed, GAC
-# grid marching). Byte-identical CellStats are asserted before timing
-# at threads=1/N, cold/warm cache and a shuffled work queue; then the
-# sweep-cells-per-second speedup is gated at >=4x. The speedup is
-# cache-driven, so it is enforced at any hardware thread count; the
-# gate self-skips (machine-readably, honoring SAG_BENCH_STRICT) only
-# when the reference sweep is too fast for the timer to resolve. Emits
-# BENCH_sweep.json.
-run cargo run --release --offline -p sag-bench --bin bench_sweep -- --out BENCH_sweep.json --min-speedup 4
+# Gated benchmarks: one binary, seven arms, each asserting its parity
+# or contract checks before timing and writing BENCH_<arm>.json with a
+# `gates` array. Failed gates fail the run only after every arm has
+# written its artefact. Floors and ceilings (constants in crates/bench):
+#   snr       ledger vs brute SNR probe speedup             >= 5x
+#   obs       disabled-instrumentation overhead             <= 1.02
+#   par       lower-tier speedup at 4 workers               >= 2x
+#             (skipped below 4 hardware threads; parity still enforced)
+#   lp        sparse vs dense cover LP speedup              >= 3x
+#             warm vs cold B&B node throughput              >= 1.5x
+#   churn     dirty-zone repair vs scratch SAMC speedup     >= 5x
+#             p99 per-event repair latency                  <= 500 us
+#   backends  adaptive vs all-exact lower-tier speedup      >= 1.5x
+#   sweep     batched vs per-cell sweep speedup             >= 4x
+# churn, backends and sweep skip their gates (recorded as
+# "skipped (<reason>)") only below a timing floor the timer cannot
+# resolve.
+run cargo run --release --offline -p sag-bench --bin bench
 
 # Churn chaos smoke: a short seeded trace through every chaos arm
 # (burst, boundary hop, worker panic, ledger desync); every arm must
@@ -139,7 +105,7 @@ cargo test --release -p sag-integration --test forensics_pipeline -q --offline
 # capture must then feed the trace analyzer end to end.
 echo "==> SAG_OBS_JSON=obs_smoke.jsonl cargo run --release --offline -p sag-sim --bin repro -- fig7a --runs 1"
 SAG_OBS_JSON=obs_smoke.jsonl SAG_OBS_RING=256 cargo run --release --offline -p sag-sim --bin repro -- fig7a --runs 1 > /dev/null
-run cargo run --release --offline -p sag-bench --bin bench_obs -- --check-jsonl obs_smoke.jsonl
+run cargo run --release --offline -p sag-bench --bin bench -- check-jsonl obs_smoke.jsonl
 run cargo run --release --offline -p sag-sim --bin repro -- trace obs_smoke.jsonl
 rm -f obs_smoke.jsonl
 
