@@ -8,17 +8,25 @@
 //! `≤` rows, and give inequality rows slack/surplus columns. They
 //! differ in one deliberate way: the dense core requires `b ≥ 0`, so
 //! its lowering negates rows — the sparse core accepts any-sign `b`,
-//! keeping the lowered matrix *identical* across bound changes so
-//! branch-and-bound children can warm-start from a parent basis
-//! ([`LpProblem::solve_with_warm_start`]).
+//! keeping the lowered matrix *identical* across bound changes. A
+//! branch-and-bound node is a clone of its template with other bounds,
+//! so the sparse lowering splits into a bound-independent structure
+//! (`A`, `c`, row scales, slack columns), built once per template and
+//! carried in the [`WarmStart`] handle, and a per-node `b`. A child
+//! then re-solves from its parent's basis and basis factorization
+//! ([`LpProblem::solve_with_warm_start`]), touching only `b`.
 
 // Building dense rows/columns is index arithmetic by nature.
 #![allow(clippy::needless_range_loop)]
 
+use std::sync::Arc;
+
 use crate::backend::{backend, LpBackend};
 use crate::budget::Budget;
 use crate::error::LpError;
-use crate::revised::{solve_sparse_from_basis, solve_sparse_with, SparseStandardForm};
+use crate::revised::{
+    solve_cold, solve_warm, Factorization, FormRef, SparseStandardForm, DEFAULT_REFACTOR_PERIOD,
+};
 use crate::simplex::{solve_standard_with, StandardForm};
 use crate::sparse::CscMatrix;
 
@@ -60,7 +68,10 @@ pub struct LpProblem {
     n: usize,
     minimize: bool,
     objective: Vec<f64>,
-    rows: Vec<Row>,
+    /// Copy-on-write: a clone (a branch-and-bound node) shares its
+    /// template's rows, and any edit to shared rows copies them first.
+    /// So `Arc::ptr_eq` on two problems' rows proves the rows equal.
+    rows: Arc<Vec<Row>>,
     lower: Vec<f64>,
     upper: Vec<f64>,
     budget: Budget,
@@ -93,27 +104,54 @@ pub struct LpSolutionDetailed {
     pub reduced_costs: Vec<f64>,
 }
 
-/// The structural signature of a sparse lowering: row/column counts
-/// plus the set of finite-upper-bound variables. Two problems share a
-/// shape exactly when they differ only in bound *values* and right-hand
-/// sides — the condition under which a basis from one is dual feasible
-/// for the other.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LoweredShape {
-    m: usize,
-    total: usize,
-    n: usize,
+/// The bound-independent part of a sparse lowering, built once per
+/// template and shared (behind an `Arc`) by every node cloned from it
+/// and every warm handle those nodes return.
+#[derive(Debug)]
+struct SparseLowering {
+    /// The rows this was lowered from. Holding them keeps their
+    /// allocation alive and shared, so a problem whose rows are
+    /// `Arc::ptr_eq` to these has exactly these rows.
+    rows: Arc<Vec<Row>>,
+    /// Variables with a finite upper bound, each lowered to an extra
+    /// `≤` row after the user rows.
     ub_vars: Vec<usize>,
+    /// Each user row's coefficients, sorted by variable with duplicates
+    /// combined and unscaled: the lower-bound shift of `b` sums these.
+    combined: Vec<Vec<(usize, f64)>>,
+    /// Each user row's equilibration divisor.
+    row_scales: Vec<f64>,
+    /// Each user row's slack/surplus column (`None` for equality rows).
+    slack_cols: Vec<Option<usize>>,
+    /// The lowered constraint matrix: scaled user rows, upper-bound
+    /// rows, then slack columns.
+    a: CscMatrix,
+    /// The lowered costs (negated for maximisation), zero on slacks.
+    c: Vec<f64>,
 }
 
-/// An opaque warm-start handle: the terminal basis of a sparse solve
-/// plus the shape it belongs to. Obtained from
-/// [`LpProblem::solve_with_warm_start`] and fed back into a later solve
-/// of a same-shaped problem (e.g. a branch-and-bound child).
+/// An opaque warm-start handle: the terminal basis of a sparse solve,
+/// the factorization of that basis, and the lowering it belongs to.
+/// Obtained from [`LpProblem::solve_with_warm_start`] and fed back into
+/// a later solve of a problem cloned from the same template with other
+/// bound values (e.g. a branch-and-bound child). Clones are cheap: the
+/// lowering and the factorization are shared.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
+    lowering: Arc<SparseLowering>,
     basis: Vec<usize>,
-    shape: LoweredShape,
+    factors: Arc<Factorization>,
+}
+
+impl WarmStart {
+    /// The terminal basis: one lowered column index per lowered row.
+    /// With [`LpProblem::sparse_standard_form`] it feeds
+    /// [`crate::revised::solve_sparse_from_basis`], which re-solves from
+    /// this basis through a fresh factorization — the differential
+    /// referee for warm re-solves.
+    pub fn basis(&self) -> &[usize] {
+        &self.basis
+    }
 }
 
 /// Result of [`LpProblem::solve_with_warm_start`].
@@ -125,8 +163,9 @@ pub struct WarmOutcome {
     /// under the dense oracle backend or when the terminal basis cannot
     /// seed one (it kept an artificial for a redundant row).
     pub warm: Option<WarmStart>,
-    /// Whether the provided seed basis was actually used (shape
-    /// matched and the dual simplex accepted it).
+    /// Whether the provided seed basis was actually used (the handle
+    /// came from this problem's template and the dual simplex accepted
+    /// it).
     pub warm_used: bool,
 }
 
@@ -144,7 +183,7 @@ impl LpProblem {
             n,
             minimize: true,
             objective: vec![0.0; n],
-            rows: Vec::new(),
+            rows: Arc::new(Vec::new()),
             lower: vec![0.0; n],
             upper: vec![f64::INFINITY; n],
             budget: Budget::unlimited(),
@@ -214,7 +253,7 @@ impl LpProblem {
             assert!(c.is_finite(), "constraint coefficient must be finite");
         }
         assert!(rhs.is_finite(), "rhs must be finite");
-        self.rows.push(Row {
+        Arc::make_mut(&mut self.rows).push(Row {
             coeffs: coeffs.to_vec(),
             rel,
             rhs,
@@ -284,7 +323,7 @@ impl LpProblem {
         let n = self.n;
         let mut rows: Vec<(Vec<f64>, Relation, f64)> = Vec::new();
         let mut row_scales: Vec<f64> = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
+        for row in self.rows.iter() {
             let mut dense = vec![0.0; n];
             let mut shift = 0.0;
             for &(v, c) in &row.coeffs {
@@ -426,30 +465,65 @@ impl LpProblem {
             self.n
         );
         assert!(rhs.is_finite(), "rhs must be finite");
+        let rows = Arc::make_mut(&mut self.rows);
         for coeffs in block.to_rows() {
-            self.rows.push(Row { coeffs, rel, rhs });
+            rows.push(Row { coeffs, rel, rhs });
         }
         self
     }
 
-    /// Lowers to the any-sign-rhs sparse standard form. Row order and
+    /// The variables with a finite upper bound, ascending.
+    fn ub_vars(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|&v| self.upper[v].is_finite())
+    }
+
+    /// Objective coefficient `v` in the internal minimisation sense.
+    fn lowered_cost(&self, v: usize) -> f64 {
+        if self.minimize {
+            self.objective[v]
+        } else {
+            -self.objective[v]
+        }
+    }
+
+    /// Lowers to the any-sign-rhs sparse standard form: the
+    /// bound-independent structure, reused from `cached` when it is
+    /// this problem's own, plus this problem's `b`. Row order and
     /// scaling mirror the dense lowering exactly — minus the rhs
-    /// negation, so the matrix (and hence [`LoweredShape`]) depends only
-    /// on the constraint structure, never on bound values.
+    /// negation, so the structure depends only on the rows, the costs
+    /// and which variables have finite upper bounds, never on bound
+    /// values.
     fn lower_sparse(
         &self,
-    ) -> (
-        SparseStandardForm,
-        Vec<f64>,
-        Vec<Option<usize>>,
-        LoweredShape,
-    ) {
+        cached: Option<&Arc<SparseLowering>>,
+    ) -> (Arc<SparseLowering>, Vec<f64>) {
+        let lowering = match cached {
+            Some(l) if self.lowers_to(l) => Arc::clone(l),
+            _ => Arc::new(self.lower_structure()),
+        };
+        let b = self.lowered_rhs(&lowering);
+        (lowering, b)
+    }
+
+    /// Whether `lowering` is this problem's structure: the same rows
+    /// (by identity, which a shape match cannot stand in for), the
+    /// same lowered costs bit for bit and the same finite-upper-bound
+    /// pattern. Shared rows imply an equal variable count: rows are
+    /// shared only between clones.
+    fn lowers_to(&self, lowering: &SparseLowering) -> bool {
+        Arc::ptr_eq(&self.rows, &lowering.rows)
+            && (0..self.n).all(|v| self.lowered_cost(v).to_bits() == lowering.c[v].to_bits())
+            && self.ub_vars().eq(lowering.ub_vars.iter().copied())
+    }
+
+    /// The bound-independent part of the sparse lowering.
+    fn lower_structure(&self) -> SparseLowering {
         let n = self.n;
         let m_user = self.rows.len();
-        let ub_vars: Vec<usize> = (0..n).filter(|&v| self.upper[v].is_finite()).collect();
+        let ub_vars: Vec<usize> = self.ub_vars().collect();
         let m = m_user + ub_vars.len();
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        let mut b: Vec<f64> = Vec::with_capacity(m);
+        let mut combined_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m_user);
         let mut row_scales: Vec<f64> = Vec::with_capacity(m_user);
         for (i, row) in self.rows.iter().enumerate() {
             // Combine duplicate variable references, as the dense
@@ -464,18 +538,16 @@ impl LpProblem {
                     false
                 }
             });
-            let shift: f64 = combined.iter().map(|&(v, c)| c * self.lower[v]).sum();
             let scale = combined.iter().fold(0.0f64, |mx, &(_, c)| mx.max(c.abs()));
             let scale = if scale > 0.0 { scale } else { 1.0 };
             for &(v, c) in &combined {
                 triplets.push((i, v, c / scale));
             }
-            b.push((row.rhs - shift) / scale);
+            combined_rows.push(combined);
             row_scales.push(scale);
         }
         for (idx, &v) in ub_vars.iter().enumerate() {
             triplets.push((m_user + idx, v, 1.0));
-            b.push(self.upper[v] - self.lower[v]);
         }
         // Slack/surplus columns in row order: user rows by relation,
         // then a `+1` slack for every synthesised upper-bound row.
@@ -502,51 +574,91 @@ impl LpProblem {
         }
         let mut c = vec![0.0; total];
         for v in 0..n {
-            c[v] = if self.minimize {
-                self.objective[v]
-            } else {
-                -self.objective[v]
-            };
+            c[v] = self.lowered_cost(v);
         }
         let a = CscMatrix::from_triplets(m, total, &triplets)
             .expect("lowering emits in-range, finite triplets");
-        let shape = LoweredShape {
-            m,
-            total,
-            n,
+        SparseLowering {
+            rows: Arc::clone(&self.rows),
             ub_vars,
-        };
-        (
-            SparseStandardForm { a, b, c },
+            combined: combined_rows,
             row_scales,
             slack_cols,
-            shape,
-        )
+            a,
+            c,
+        }
     }
 
-    /// Solves via the sparse revised simplex, optionally warm-starting
-    /// the dual simplex from `warm` (ignored unless its
-    /// [`LoweredShape`] matches; an unusable seed falls back to a cold
-    /// solve). Returns the detailed solution plus the terminal basis
-    /// for future warm starts.
+    /// This problem's `b` over `lowering`: each user row's rhs shifted
+    /// by the lower bounds and scaled, then each upper-bound row's
+    /// `hi − lo`.
+    fn lowered_rhs(&self, lowering: &SparseLowering) -> Vec<f64> {
+        let mut b = Vec::with_capacity(lowering.a.nrows());
+        for ((row, combined), &scale) in self
+            .rows
+            .iter()
+            .zip(&lowering.combined)
+            .zip(&lowering.row_scales)
+        {
+            let shift: f64 = combined.iter().map(|&(v, c)| c * self.lower[v]).sum();
+            b.push((row.rhs - shift) / scale);
+        }
+        b.extend(
+            lowering
+                .ub_vars
+                .iter()
+                .map(|&v| self.upper[v] - self.lower[v]),
+        );
+        b
+    }
+
+    /// The sparse standard form the revised simplex solves for this
+    /// problem. Its structural columns are shifted by the lower bounds
+    /// (`x = lower + x'`); slack columns follow them. Exposed for
+    /// differential referees (see [`WarmStart::basis`]).
+    pub fn sparse_standard_form(&self) -> SparseStandardForm {
+        let lowering = self.lower_structure();
+        let b = self.lowered_rhs(&lowering);
+        SparseStandardForm {
+            a: lowering.a,
+            b,
+            c: lowering.c,
+        }
+    }
+
+    /// Solves via the sparse revised simplex, warm-starting the dual
+    /// simplex from `warm` when it came from this problem's template
+    /// (a foreign handle is ignored; an unusable seed falls back to a
+    /// cold solve). Returns the detailed solution plus a handle on the
+    /// terminal basis for future warm starts.
     fn solve_sparse_outcome(&self, warm: Option<&WarmStart>) -> Result<SparseOutcome, LpError> {
-        let (sf, row_scales, slack_cols, shape) = self.lower_sparse();
-        let mut warm_used = false;
-        let sol = match warm {
-            Some(ws) if ws.shape == shape => {
-                match solve_sparse_from_basis(&sf, &ws.basis, &self.budget) {
-                    Ok(s) => {
-                        warm_used = true;
-                        s
-                    }
-                    // An unusable seed basis is not an answer — retry
-                    // cold. Anything else (Infeasible, Cancelled, …) is
-                    // a real outcome and propagates.
-                    Err(LpError::Numerical(_)) => solve_sparse_with(&sf, &self.budget)?,
-                    Err(e) => return Err(e),
-                }
-            }
-            _ => solve_sparse_with(&sf, &self.budget)?,
+        let (lowering, b) = self.lower_sparse(warm.map(|w| &w.lowering));
+        let sf = FormRef {
+            a: &lowering.a,
+            b: &b,
+            c: &lowering.c,
+        };
+        let seeded = warm
+            .filter(|w| Arc::ptr_eq(&w.lowering, &lowering))
+            .map(|w| {
+                solve_warm(
+                    sf,
+                    &w.basis,
+                    Some(&w.factors),
+                    &self.budget,
+                    DEFAULT_REFACTOR_PERIOD,
+                )
+            });
+        let ((sol, factors), warm_used) = match seeded {
+            Some(Ok(solved)) => (solved, true),
+            // No seed, or an unusable one (not an answer): solve cold.
+            // Anything else (Infeasible, Cancelled, …) is a real
+            // outcome and propagates.
+            None | Some(Err(LpError::Numerical(_))) => (
+                solve_cold(sf, &self.budget, DEFAULT_REFACTOR_PERIOD)?,
+                false,
+            ),
+            Some(Err(e)) => return Err(e),
         };
         let n = self.n;
         let x: Vec<f64> = (0..n).map(|v| sol.x[v] + self.lower[v]).collect();
@@ -556,23 +668,24 @@ impl LpProblem {
         let sense = if self.minimize { 1.0 } else { -1.0 };
         let duals: Vec<Option<f64>> = (0..self.rows.len())
             .map(|i| {
-                let col = slack_cols[i]?;
+                let col = lowering.slack_cols[i]?;
                 let rc = sol.reduced_costs[col];
                 let y = match self.rows[i].rel {
                     Relation::Ge => rc,
                     Relation::Le => -rc,
                     Relation::Eq => unreachable!("Eq rows have no slack"),
                 };
-                Some(sense * y / row_scales[i])
+                Some(sense * y / lowering.row_scales[i])
             })
             .collect();
         // A basis containing artificials (redundant rows) cannot seed a
         // warm start; report no handle rather than a poisoned one.
-        let total = sf.c.len();
+        let total = lowering.c.len();
         let warm_out = if sol.basis.iter().all(|&j| j < total) {
             Some(WarmStart {
+                lowering,
                 basis: sol.basis,
-                shape,
+                factors,
             })
         } else {
             None
@@ -590,10 +703,14 @@ impl LpProblem {
     }
 
     /// Solves the problem, seeding the sparse backend's dual simplex
-    /// from a previous solve's basis when `warm` is compatible (same
-    /// [`LoweredShape`] — i.e. only bounds/right-hand sides changed, as
-    /// under branch-and-bound branching). Under the dense oracle
-    /// backend this is a plain cold solve and no handle is returned.
+    /// from a previous solve's basis when `warm` is compatible: it came
+    /// from a problem cloned from the same template, with the same
+    /// objective and the same set of finite upper bounds — only bound
+    /// values differ, as under branch-and-bound branching. The seed
+    /// then also brings the lowered structure and the factorization of
+    /// its basis, so the re-solve lowers only `b` and, when no pivot
+    /// is needed, factorizes nothing. Under the dense oracle backend
+    /// this is a plain cold solve and no handle is returned.
     ///
     /// # Errors
     /// As [`LpProblem::solve`]; a warm seed that cannot be used falls

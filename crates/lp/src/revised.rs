@@ -28,10 +28,15 @@
 //!   bound change only moves `b`, leaving the parent basis dual
 //!   feasible.
 //!
-//! The final answer is always extracted from a *fresh* factorization of
-//! the terminal basis — never through the eta file — so the reported
-//! objective is a pure function of the final basis and refactorization
-//! cadence cannot perturb it.
+//! The final answer is always extracted from a factorization of the
+//! terminal basis with an empty eta file — never through the eta file.
+//! That factorization is rebuilt when pivots happened since the last
+//! one, and is otherwise the one already in hand: fresh from the start
+//! of this solve, or carried over from the parent solve that ended on
+//! the same basis (see [`solve_sparse_from_basis`]). A factorization is
+//! a deterministic function of the basis columns, so either way the
+//! reported objective is a pure function of the final basis, and
+//! refactorization cadence cannot perturb it.
 
 // This core must never panic on adversarial (fuzzed / chaos-mutated)
 // input; every failure is a typed `LpError`.
@@ -42,6 +47,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Instant;
 
 use crate::budget::Budget;
 use crate::error::LpError;
@@ -78,6 +85,25 @@ pub struct SparseStandardForm {
     pub b: Vec<f64>,
     /// Objective coefficients, length `n`.
     pub c: Vec<f64>,
+}
+
+/// A borrowed [`SparseStandardForm`]: lets a branch-and-bound node pair
+/// its own `b` with the `A` and `c` lowered once for the whole tree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FormRef<'a> {
+    pub(crate) a: &'a CscMatrix,
+    pub(crate) b: &'a [f64],
+    pub(crate) c: &'a [f64],
+}
+
+impl SparseStandardForm {
+    fn as_ref(&self) -> FormRef<'_> {
+        FormRef {
+            a: &self.a,
+            b: &self.b,
+            c: &self.c,
+        }
+    }
 }
 
 /// Result of a revised-simplex run.
@@ -142,7 +168,7 @@ fn consume_lu_skew() -> Option<f64> {
 /// block plus a dense bump, in permuted form
 /// `P_r · B · P_c = [U11 B12; 0 B22]`.
 #[derive(Debug, Clone)]
-struct Factorization {
+pub(crate) struct Factorization {
     m: usize,
     /// Number of triangularized pivots (`k ≤ m`).
     k: usize,
@@ -480,7 +506,7 @@ struct Eta {
 
 /// The working state of a revised-simplex solve.
 struct SparseSimplex<'a> {
-    sf: &'a SparseStandardForm,
+    sf: FormRef<'a>,
     m: usize,
     n: usize,
     /// Artificial column signs: artificial `i` is a singleton
@@ -488,7 +514,10 @@ struct SparseSimplex<'a> {
     art_sign: Vec<f64>,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    fact: Factorization,
+    /// Factorization of the basis as of the last refactorization (or
+    /// as carried in); shared, because a solve hands its terminal
+    /// factorization on to the warm starts it seeds.
+    fact: Arc<Factorization>,
     etas: Vec<Eta>,
     /// Basic variable values, indexed by basis slot.
     x_b: Vec<f64>,
@@ -499,6 +528,17 @@ struct SparseSimplex<'a> {
     budget: &'a Budget,
     pivots: usize,
     refactors: usize,
+    /// Solves seeded by carried factors instead of a refactorization.
+    factor_reuses: usize,
+    /// Whether to time factorization and pivoting (only while an obs
+    /// recorder listens; the clock stays unread otherwise).
+    timed: bool,
+    /// Wall time spent establishing factorizations (builds, `x_B`
+    /// solves and residual checks), in nanoseconds.
+    factor_ns: u64,
+    /// Wall time spent in simplex iterations, net of the
+    /// refactorizations they trigger, in nanoseconds.
+    pivot_ns: u64,
 }
 
 /// Partial-pricing block: columns scanned per sweep step before the
@@ -577,6 +617,13 @@ impl<'a> SparseSimplex<'a> {
     /// one-shot skew or accumulated drift); persistent failure is
     /// [`LpError::Numerical`].
     fn refactorize(&mut self) -> Result<(), LpError> {
+        let started = self.clock();
+        let out = self.refactorize_untimed();
+        self.factor_ns += elapsed_ns(started);
+        out
+    }
+
+    fn refactorize_untimed(&mut self) -> Result<(), LpError> {
         for attempt in 0..2 {
             let cols: Vec<Vec<(usize, f64)>> =
                 self.basis.iter().map(|&j| self.col_entries(j)).collect();
@@ -584,10 +631,10 @@ impl<'a> SparseSimplex<'a> {
                 sag_obs::counter("lp.numerical_failures", 1);
                 return Err(LpError::Numerical("basis factorization is singular".into()));
             };
-            self.fact = fact;
+            self.fact = Arc::new(fact);
             self.etas.clear();
             self.refactors += 1;
-            self.x_b = self.fact.solve(&self.sf.b);
+            self.x_b = self.fact.solve(self.sf.b);
             if self.residual_ok() {
                 return Ok(());
             }
@@ -601,10 +648,48 @@ impl<'a> SparseSimplex<'a> {
         ))
     }
 
+    /// Adopts `fact`, a factorization of the current basis carried over
+    /// from an earlier solve, in place of a refactorization: recomputes
+    /// `x_B` for this problem's `b` and runs the same residual
+    /// self-check [`Self::refactorize`] would. Returns `false`, leaving
+    /// the caller to refactorize, when the check fails.
+    fn adopt(&mut self, fact: &Arc<Factorization>) -> bool {
+        let started = self.clock();
+        self.fact = Arc::clone(fact);
+        self.etas.clear();
+        self.x_b = self.fact.solve(self.sf.b);
+        let ok = self.residual_ok();
+        if ok {
+            self.factor_reuses += 1;
+        }
+        self.factor_ns += elapsed_ns(started);
+        ok
+    }
+
+    /// The start of a timed section, when timing is on.
+    fn clock(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
+    }
+
+    /// Runs an iteration loop, charging its wall time net of the
+    /// refactorizations inside it to `pivot_ns`.
+    fn iterate(
+        &mut self,
+        costs: &[f64],
+        run: fn(&mut Self, &[f64]) -> Result<(), LpError>,
+    ) -> Result<(), LpError> {
+        let started = self.clock();
+        let factor_before = self.factor_ns;
+        let out = run(self, costs);
+        let factor_inside = self.factor_ns - factor_before;
+        self.pivot_ns += elapsed_ns(started).saturating_sub(factor_inside);
+        out
+    }
+
     /// `‖b − B·x_B‖∞ / (1 + ‖b‖∞) ≤ RESIDUAL_TOL` against the *true*
     /// basis columns — independent of the factorization under test.
     fn residual_ok(&self) -> bool {
-        let mut r = self.sf.b.clone();
+        let mut r = self.sf.b.to_vec();
         for (slot, &j) in self.basis.iter().enumerate() {
             let xv = self.x_b[slot];
             if xv != 0.0 {
@@ -652,6 +737,10 @@ impl<'a> SparseSimplex<'a> {
     /// Only structural columns may enter (artificials can leave, never
     /// re-enter — standard column dropping).
     fn run_primal(&mut self, costs: &[f64]) -> Result<(), LpError> {
+        self.iterate(costs, Self::primal_iterations)
+    }
+
+    fn primal_iterations(&mut self, costs: &[f64]) -> Result<(), LpError> {
         let max_iters = 50 * (self.m + self.n) + 1000;
         let bland_after = 5 * (self.m + self.n);
         let mut c_b = vec![0.0; self.m];
@@ -730,6 +819,10 @@ impl<'a> SparseSimplex<'a> {
     /// Runs dual simplex iterations (basis dual feasible, `x_B` may be
     /// negative) until primal feasible.
     fn run_dual(&mut self, costs: &[f64]) -> Result<(), LpError> {
+        self.iterate(costs, Self::dual_iterations)
+    }
+
+    fn dual_iterations(&mut self, costs: &[f64]) -> Result<(), LpError> {
         let max_iters = 50 * (self.m + self.n) + 1000;
         let bland_after = 5 * (self.m + self.n);
         for iter in 0..max_iters {
@@ -825,11 +918,17 @@ impl<'a> SparseSimplex<'a> {
         Ok(())
     }
 
-    /// Extracts the final answer from a *fresh* factorization of the
-    /// terminal basis, re-verifying optimality; returns `None` when the
-    /// recomputed reduced costs or feasibility demand more pivoting.
+    /// Extracts the final answer from a factorization of the terminal
+    /// basis with an empty eta file, re-verifying optimality; returns
+    /// `None` when the recomputed reduced costs or feasibility demand
+    /// more pivoting. Refactorizes only when pivots have run since the
+    /// last factorization: with an empty eta file the factorization in
+    /// hand already is one of the terminal basis, and its `x_B` passed
+    /// the residual check when it was made or adopted.
     fn extract(&mut self) -> Result<Option<RevisedSolution>, LpError> {
-        self.refactorize()?;
+        if !self.etas.is_empty() {
+            self.refactorize()?;
+        }
         // Primal feasibility of the recomputed basics.
         if self.x_b.iter().any(|&v| v < -OPT_TOL) {
             return Ok(None);
@@ -867,7 +966,7 @@ impl<'a> SparseSimplex<'a> {
 }
 
 /// Validates dimensions and finiteness of a sparse standard form.
-fn validate(sf: &SparseStandardForm) -> Result<(usize, usize), LpError> {
+fn validate(sf: FormRef<'_>) -> Result<(usize, usize), LpError> {
     let m = sf.a.nrows();
     let n = sf.a.ncols();
     if sf.b.len() != m {
@@ -894,13 +993,23 @@ fn validate(sf: &SparseStandardForm) -> Result<(usize, usize), LpError> {
 /// The default eta-file length between full refactorizations.
 pub const DEFAULT_REFACTOR_PERIOD: usize = 64;
 
-/// Builds the solver state around an initial basis. `refactor_period`
-/// is clamped to ≥ 1.
+/// Nanoseconds since `started`, or zero when untimed.
+fn elapsed_ns(started: Option<Instant>) -> u64 {
+    started.map_or(0, |t| {
+        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    })
+}
+
+/// Builds the solver state around an initial basis, adopting `carried`
+/// (a factorization of exactly that basis) when it passes the residual
+/// check and refactorizing otherwise. `refactor_period` is clamped to
+/// ≥ 1.
 fn make_solver<'a>(
-    sf: &'a SparseStandardForm,
+    sf: FormRef<'a>,
     m: usize,
     n: usize,
     basis: Vec<usize>,
+    carried: Option<&Arc<Factorization>>,
     budget: &'a Budget,
     refactor_period: usize,
 ) -> Result<SparseSimplex<'a>, LpError> {
@@ -921,7 +1030,7 @@ fn make_solver<'a>(
         art_sign,
         basis,
         in_basis,
-        fact: Factorization {
+        fact: Arc::new(Factorization {
             m: 0,
             k: 0,
             pos_of_slot: Vec::new(),
@@ -934,7 +1043,7 @@ fn make_solver<'a>(
             nb: 0,
             lu: Vec::new(),
             lu_piv: Vec::new(),
-        },
+        }),
         etas: Vec::new(),
         x_b: Vec::new(),
         refactor_period: refactor_period.max(1),
@@ -942,8 +1051,15 @@ fn make_solver<'a>(
         budget,
         pivots: 0,
         refactors: 0,
+        factor_reuses: 0,
+        timed: sag_obs::enabled(),
+        factor_ns: 0,
+        pivot_ns: 0,
     };
-    solver.refactorize()?;
+    let adopted = carried.is_some_and(|fact| fact.m == m && solver.adopt(fact));
+    if !adopted {
+        solver.refactorize()?;
+    }
     Ok(solver)
 }
 
@@ -983,6 +1099,20 @@ pub fn solve_sparse_with_period(
     budget: &Budget,
     refactor_period: usize,
 ) -> Result<RevisedSolution, LpError> {
+    solve_cold(sf.as_ref(), budget, refactor_period).map(|(sol, _)| sol)
+}
+
+/// A solution plus the factorization of its terminal basis, which can
+/// seed a warm start from that basis (see [`solve_warm`]).
+pub(crate) type Solved = (RevisedSolution, Arc<Factorization>);
+
+/// [`solve_sparse_with_period`] over a borrowed form, also returning
+/// the terminal factorization.
+pub(crate) fn solve_cold(
+    sf: FormRef<'_>,
+    budget: &Budget,
+    refactor_period: usize,
+) -> Result<Solved, LpError> {
     let (m, n) = validate(sf)?;
     // Crash basis: zero-cost structural singleton columns whose sign
     // matches their row's rhs can start basic (value b_i/a ≥ 0); the
@@ -1005,7 +1135,7 @@ pub fn solve_sparse_with_period(
         }
     }
     let basis: Vec<usize> = (0..m).map(|i| crash[i].unwrap_or(n + i)).collect();
-    let mut solver = make_solver(sf, m, n, basis, budget, refactor_period)?;
+    let mut solver = make_solver(sf, m, n, basis, None, budget, refactor_period)?;
 
     // ---- Phase 1: minimise the artificial mass. ----
     if solver.basis.iter().any(|&j| j >= n) {
@@ -1030,15 +1160,16 @@ pub fn solve_sparse_with_period(
 
     // ---- Phase 2: the true objective. ----
     let mut costs = vec![0.0; n + m];
-    costs[..n].copy_from_slice(&sf.c);
+    costs[..n].copy_from_slice(sf.c);
     let out = finish_primal(&mut solver, &costs);
     flush_obs(&solver, matches!(out, Err(LpError::Cancelled)));
-    out
+    out.map(|sol| (sol, Arc::clone(&solver.fact)))
 }
 
-/// Runs phase-2 primal to optimality, extracting through a fresh
-/// factorization; resumes pivoting when the recomputed reduced costs
-/// disagree (bounded by the phase iteration caps).
+/// Runs phase-2 primal to optimality, extracting through a
+/// factorization with an empty eta file; resumes pivoting when the
+/// recomputed reduced costs disagree (bounded by the phase iteration
+/// caps).
 fn finish_primal(
     solver: &mut SparseSimplex<'_>,
     costs: &[f64],
@@ -1058,6 +1189,12 @@ fn finish_primal(
 /// bound tightening). Such a basis stays dual feasible, so the dual
 /// simplex repairs primal feasibility in a handful of pivots instead of
 /// re-running both phases.
+///
+/// This entry point always factorizes `basis` afresh. Branch-and-bound
+/// re-solves through [`crate::LpProblem::solve_with_warm_start`]
+/// instead carry the parent's terminal factorization along with its
+/// basis; that factorization is identical to the fresh one, so this
+/// function is the referee for the carried path.
 ///
 /// # Errors
 /// [`LpError::Numerical`] when the basis cannot seed a warm start
@@ -1084,6 +1221,21 @@ pub fn solve_sparse_from_basis_with_period(
     budget: &Budget,
     refactor_period: usize,
 ) -> Result<RevisedSolution, LpError> {
+    solve_warm(sf.as_ref(), basis, None, budget, refactor_period).map(|(sol, _)| sol)
+}
+
+/// [`solve_sparse_from_basis_with_period`] over a borrowed form,
+/// adopting `carried` — the factorization a previous solve ended with
+/// on exactly this `basis` of the same `A` — instead of refactorizing
+/// when it passes the residual check against this `b`. Also returns
+/// the terminal factorization.
+pub(crate) fn solve_warm(
+    sf: FormRef<'_>,
+    basis: &[usize],
+    carried: Option<&Arc<Factorization>>,
+    budget: &Budget,
+    refactor_period: usize,
+) -> Result<Solved, LpError> {
     let (m, n) = validate(sf)?;
     if basis.len() != m || basis.iter().any(|&j| j >= n) {
         return Err(LpError::Numerical(
@@ -1099,7 +1251,7 @@ pub fn solve_sparse_from_basis_with_period(
         }
         seen[j] = true;
     }
-    let mut solver = make_solver(sf, m, n, basis.to_vec(), budget, refactor_period)?;
+    let mut solver = make_solver(sf, m, n, basis.to_vec(), carried, budget, refactor_period)?;
     // Dual feasibility: the parent's optimal reduced costs must carry
     // over (same A, same c). A materially negative one means the basis
     // is not from a matching problem — fall back cold.
@@ -1114,15 +1266,16 @@ pub fn solve_sparse_from_basis_with_period(
         }
     }
     let mut costs = vec![0.0; n + m];
-    costs[..n].copy_from_slice(&sf.c);
+    costs[..n].copy_from_slice(sf.c);
     let out = finish_dual(&mut solver, &costs);
     flush_obs(&solver, matches!(out, Err(LpError::Cancelled)));
-    out
+    out.map(|sol| (sol, Arc::clone(&solver.fact)))
 }
 
 /// Runs the dual simplex to primal feasibility, extracting through a
-/// fresh factorization; resumes (dual for feasibility, primal for
-/// optimality) when the recomputed state disagrees.
+/// factorization with an empty eta file; resumes (dual for
+/// feasibility, primal for optimality) when the recomputed state
+/// disagrees.
 fn finish_dual(solver: &mut SparseSimplex<'_>, costs: &[f64]) -> Result<RevisedSolution, LpError> {
     for _ in 0..4 {
         solver.run_dual(costs)?;
@@ -1137,12 +1290,15 @@ fn finish_dual(solver: &mut SparseSimplex<'_>, costs: &[f64]) -> Result<RevisedS
 }
 
 /// One observability flush per solve; the pivot loops stay
-/// uninstrumented.
+/// uninstrumented and only accumulate into solver locals.
 fn flush_obs(solver: &SparseSimplex<'_>, cancelled: bool) {
     if sag_obs::enabled() {
         sag_obs::counter("lp.sparse_solves", 1);
         sag_obs::counter("lp.sparse_pivots", solver.pivots as u64);
         sag_obs::counter("lp.sparse_refactors", solver.refactors as u64);
+        sag_obs::counter("lp.factor_reuses", solver.factor_reuses as u64);
+        sag_obs::timer("lp.factor_ns", solver.factor_ns);
+        sag_obs::timer("lp.pivot_ns", solver.pivot_ns);
         if cancelled {
             sag_obs::counter("lp.budget_exhausted", 1);
         }

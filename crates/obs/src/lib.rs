@@ -12,7 +12,8 @@
 //!    [`span_context`]/[`with_span_context`], so a trace reassembles
 //!    into one tree at any thread count.
 //! 2. **Metrics** — [`counter`], [`gauge`] and [`observe`] record
-//!    named counters, gauges and bucketed histogram samples. The
+//!    named counters, gauges and bucketed histogram samples; [`timer`]
+//!    records wall-clock time spent below span granularity. The
 //!    [`Collector`] recorder aggregates them into a [`StageMetrics`]
 //!    summary (what `SagReport::metrics` carries).
 //! 3. **Sink** — [`JsonlSink`] renders every event as one JSON line
@@ -120,6 +121,22 @@ pub fn observe(name: &'static str, value: u64) {
     }
 }
 
+/// Adds `ns` nanoseconds of wall-clock time to the named timer on
+/// every active recorder.
+///
+/// Timers measure time inside a stage at finer grain than a span,
+/// without the per-region span events: a hot loop sums its clock
+/// readings in locals and flushes once. Like span durations, and
+/// unlike counters, their values vary from run to run. They reach
+/// recorders only; the flight recorder ring keeps no timers.
+pub fn timer(name: &'static str, ns: u64) {
+    if ns == 0 || !enabled() {
+        return;
+    }
+    let stage = recorder::current_stage();
+    recorder::for_each(|r| r.timer(name, ns, stage));
+}
+
 /// Renders a post-mortem frame for `dump` and dispatches it to every
 /// active recorder (see [`forensics`]).
 pub fn post_mortem(dump: &Dump<'_>) {
@@ -179,6 +196,7 @@ mod tests {
         counter("t.counter", 3);
         gauge("t.gauge", 1.5);
         observe("t.hist", 7);
+        timer("t.timer", 11);
         let s = span("t.span");
         drop(s);
     }
@@ -192,10 +210,14 @@ mod tests {
             counter("work", 3);
             gauge("level", 4.5);
             observe("size", 9);
+            timer("wall_ns", 40);
+            timer("wall_ns", 2);
             let _inner = span("inner");
         });
         let m = c.summary();
         assert_eq!(m.counter("work"), 5);
+        assert_eq!(m.timer_ns("wall_ns"), 42);
+        assert_eq!(m.counter("wall_ns"), 0, "timers are not counters");
         assert_eq!(m.gauge("level"), Some(4.5));
         let span_names: Vec<_> = m.spans.iter().map(|s| s.name).collect();
         assert!(span_names.contains(&"outer") && span_names.contains(&"inner"));

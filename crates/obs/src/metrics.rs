@@ -83,16 +83,20 @@ pub struct StageMetrics {
     pub gauges: Vec<(&'static str, Option<&'static str>, f64)>,
     /// `(name, stage, summary)` histograms.
     pub histograms: Vec<(&'static str, Option<&'static str>, HistSummary)>,
+    /// `(name, stage, nanoseconds)` wall-clock timers.
+    pub timers: Vec<(&'static str, Option<&'static str>, u64)>,
 }
 
 impl StageMetrics {
     /// Total of the counter `name` across all stages (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(n, _, _)| *n == name)
-            .map(|(_, _, v)| v)
-            .sum()
+        sum_named(&self.counters, name)
+    }
+
+    /// Total of the timer `name` across all stages, in nanoseconds (0
+    /// if absent).
+    pub fn timer_ns(&self, name: &str) -> u64 {
+        sum_named(&self.timers, name)
     }
 
     /// Last value of the gauge `name` (any stage), if recorded.
@@ -123,6 +127,7 @@ impl StageMetrics {
             && self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
+            && self.timers.is_empty()
     }
 
     /// Folds `other` into `self` (summing counters/histograms/span
@@ -139,14 +144,10 @@ impl StageMetrics {
             }
         }
         for &(name, stage, v) in &other.counters {
-            match self
-                .counters
-                .iter_mut()
-                .find(|(n, s, _)| *n == name && *s == stage)
-            {
-                Some((_, _, total)) => *total += v,
-                None => self.counters.push((name, stage, v)),
-            }
+            add_named(&mut self.counters, name, stage, v);
+        }
+        for &(name, stage, v) in &other.timers {
+            add_named(&mut self.timers, name, stage, v);
         }
         for &(name, stage, v) in &other.gauges {
             match self
@@ -210,14 +211,23 @@ impl fmt::Display for StageMetrics {
                 .copied()
                 .collect(),
             histograms: Vec::new(),
+            timers: self
+                .timers
+                .iter()
+                .filter(|(_, s, _)| s.is_none_or(|s| self.span(s).is_none()))
+                .copied()
+                .collect(),
         };
-        if !orphan.counters.is_empty() || !orphan.gauges.is_empty() {
+        if !orphan.counters.is_empty() || !orphan.gauges.is_empty() || !orphan.timers.is_empty() {
             writeln!(f, "{:<18}", "(other)")?;
             for &(name, _, v) in &orphan.counters {
                 writeln!(f, "  {name:<28} {v:>12}")?;
             }
             for &(name, _, v) in &orphan.gauges {
                 writeln!(f, "  {name:<28} {v:>12.4}")?;
+            }
+            for &(name, _, ns) in &orphan.timers {
+                writeln!(f, "  {name:<28} {:>12}", fmt_dur(Duration::from_nanos(ns)))?;
             }
         }
         Ok(())
@@ -246,7 +256,37 @@ impl StageMetrics {
                 )?;
             }
         }
+        for &(name, s, ns) in &self.timers {
+            if s == stage {
+                writeln!(f, "  {name:<28} {:>12}", fmt_dur(Duration::from_nanos(ns)))?;
+            }
+        }
         Ok(())
+    }
+}
+
+/// Sum of the `(name, stage, value)` entries named `name`.
+fn sum_named(entries: &[(&'static str, Option<&'static str>, u64)], name: &str) -> u64 {
+    entries
+        .iter()
+        .filter(|(n, _, _)| *n == name)
+        .map(|(_, _, v)| v)
+        .sum()
+}
+
+/// Adds `v` to the `(name, stage)` entry, appending it when new.
+fn add_named(
+    entries: &mut Vec<(&'static str, Option<&'static str>, u64)>,
+    name: &'static str,
+    stage: Option<&'static str>,
+    v: u64,
+) {
+    match entries
+        .iter_mut()
+        .find(|(n, s, _)| *n == name && *s == stage)
+    {
+        Some((_, _, total)) => *total += v,
+        None => entries.push((name, stage, v)),
     }
 }
 
@@ -318,14 +358,12 @@ impl Recorder for Collector {
 
     fn counter(&self, name: &'static str, delta: u64, stage: Option<&'static str>) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        match inner
-            .counters
-            .iter_mut()
-            .find(|(n, s, _)| *n == name && *s == stage)
-        {
-            Some((_, _, v)) => *v += delta,
-            None => inner.counters.push((name, stage, delta)),
-        }
+        add_named(&mut inner.counters, name, stage, delta);
+    }
+
+    fn timer(&self, name: &'static str, ns: u64, stage: Option<&'static str>) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        add_named(&mut inner.timers, name, stage, ns);
     }
 
     fn gauge(&self, name: &'static str, value: f64, stage: Option<&'static str>) {

@@ -62,6 +62,11 @@ pub trait Recorder: Send + Sync {
         let _ = (name, value, stage);
     }
 
+    /// `ns` nanoseconds of wall-clock time added to the timer `name`.
+    fn timer(&self, name: &'static str, ns: u64, stage: Option<&'static str>) {
+        let _ = (name, ns, stage);
+    }
+
     /// A structured post-mortem frame (see [`crate::post_mortem`]).
     fn post_mortem(&self, dump: &PostMortem) {
         let _ = dump;

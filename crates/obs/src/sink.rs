@@ -181,6 +181,12 @@ impl Recorder for JsonlSink {
         });
     }
 
+    fn timer(&self, name: &'static str, ns: u64, stage: Option<&'static str>) {
+        self.metric("timer", name, stage, |line| {
+            line.push_str(&ns.to_string());
+        });
+    }
+
     fn post_mortem(&self, dump: &PostMortem) {
         let mut line = self.prefix("post_mortem");
         line.push(',');
@@ -248,6 +254,7 @@ mod tests {
         sink.counter("ops", 3, Some("stage"));
         sink.gauge("level", -2.5, None);
         sink.observe("size", 17, Some("stage"));
+        sink.timer("wall_ns", 9, Some("stage"));
         sink.span_exit(&meta, Duration::from_micros(12));
         sink.post_mortem(&crate::forensics::render(&crate::Dump {
             class: "worker_panic",
@@ -257,14 +264,15 @@ mod tests {
         drop(sink);
         let text = String::from_utf8(buf.0.lock().expect("lock").clone()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 8); // run_start + 6 events + run_end
+        assert_eq!(lines.len(), 9); // run_start + 7 events + run_end
         for line in &lines {
             crate::json::validate(line).expect("line must parse");
         }
         assert!(lines[0].contains("\"kind\":\"run_start\""));
-        assert!(lines[7].contains("\"kind\":\"run_end\""));
-        assert!(lines[7].contains("\"dropped_events\":0"));
-        assert!(lines[7].contains("\"ring_overflow\":"));
+        assert!(lines[8].contains("\"kind\":\"run_end\""));
+        assert!(lines[8].contains("\"dropped_events\":0"));
+        assert!(lines[8].contains("\"ring_overflow\":"));
+        assert!(text.contains("\"kind\":\"timer\""));
         assert!(text.contains("\"dur_ns\""));
         assert!(text.contains("\"stage\":\"stage\""));
         assert!(text.contains("\"id\":41"));

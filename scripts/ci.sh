@@ -32,7 +32,10 @@ SAG_PROP_CASES=150 cargo test -p sag-integration --test ledger_parity -q --offli
 
 # LP parity soak: the sparse revised simplex against the dense tableau
 # oracle (differential rig), warm-vs-cold B&B incumbents, refactor
-# cadence bit-stability, and CscMatrix construction fuzz.
+# cadence bit-stability, carried-factor parity (warm re-solves that
+# reuse the parent's lowering and basis factors match a fresh
+# refactorization bit for bit; foreign handles are never reused), and
+# CscMatrix construction fuzz.
 echo "==> SAG_PROP_CASES=150 cargo test -p sag-integration --test lp_parity -q --offline"
 SAG_PROP_CASES=150 cargo test -p sag-integration --test lp_parity -q --offline
 

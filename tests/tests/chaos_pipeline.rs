@@ -335,6 +335,87 @@ fn lp_basis_desync_recovers_or_errs_typed_never_wrong() {
     }
 }
 
+/// `Fault::LpBasisDesync` once factors are carried: B&B node LPs of one
+/// template re-solve from their parent's terminal factorization, and a
+/// persistent LU skew armed between two such warm re-solves must still
+/// yield the clean objective or a typed `Numerical` error — never a
+/// different objective. The skew poisons only factorizations built
+/// after it is armed, so a re-solve that needs no pivot answers from
+/// the clean carried factors, and one that pivots must refactorize and
+/// fail the residual check.
+#[test]
+fn lp_basis_desync_between_carried_factor_resolves_never_wrong() {
+    use sag_lp::revised::{clear_lu_skew, inject_lu_skew};
+    use sag_lp::{push_backend_override, LpBackend, LpError, LpProblem, Relation};
+
+    let _sparse = push_backend_override(Some(LpBackend::Sparse));
+    // Set-cover relaxation over 6 candidates: a ring of pairs plus two
+    // chords, the row shape of the ILPQC completion bound.
+    let mut template = LpProblem::minimize(6);
+    template.set_objective(&[1.0, 1.1, 1.2, 1.3, 1.4, 1.5]);
+    for c in 0..6 {
+        template.set_bounds(c, 0.0, 1.0);
+    }
+    for row in [
+        [0, 1],
+        [1, 2],
+        [2, 3],
+        [3, 4],
+        [4, 5],
+        [5, 0],
+        [0, 3],
+        [1, 4],
+    ] {
+        template.add_constraint(&[(row[0], 1.0), (row[1], 1.0)], Relation::Ge, 1.0);
+    }
+    let node = |fixed: &[usize]| {
+        let mut lp = template.clone();
+        for &c in fixed {
+            lp.set_bounds(c, 1.0, 1.0);
+        }
+        lp
+    };
+
+    clear_lu_skew();
+    let root = node(&[]).solve_with_warm_start(None).expect("root LP");
+    let parent = node(&[2])
+        .solve_with_warm_start(root.warm.as_ref())
+        .expect("parent LP");
+    assert!(parent.warm_used, "the parent must re-solve warm");
+    let handle = parent.warm.expect("parent basis seeds its children");
+
+    let (mut answered, mut refused) = (0, 0);
+    for fixed in [
+        &[2][..],
+        &[2, 0],
+        &[2, 1],
+        &[2, 3],
+        &[2, 4],
+        &[2, 5],
+        &[2, 0, 4],
+    ] {
+        let clean = node(fixed).solve_with_warm_start(Some(&handle));
+        inject_lu_skew(0.5, true);
+        let skewed = node(fixed).solve_with_warm_start(Some(&handle));
+        clear_lu_skew();
+        match (clean, skewed) {
+            (Ok(c), Ok(s)) => {
+                assert_eq!(
+                    c.solution.objective.to_bits(),
+                    s.solution.objective.to_bits(),
+                    "node {fixed:?}: skew changed the objective"
+                );
+                answered += 1;
+            }
+            (_, Err(LpError::Numerical(_))) => refused += 1,
+            (Err(c), Err(s)) => assert_eq!(c, s, "node {fixed:?}"),
+            (c, s) => panic!("node {fixed:?}: clean {c:?} vs skewed {s:?}"),
+        }
+    }
+    assert!(answered > 0, "no re-solve answered from carried factors");
+    assert!(refused > 0, "no re-solve refactorized under the skew");
+}
+
 /// S1 regression: a deadline the lower tier legitimately consumed must
 /// never be double-spent against the polynomial tail. Whatever the
 /// timing, `BudgetExceeded` may only name the lower-tier stage — a

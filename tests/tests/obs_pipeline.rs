@@ -286,6 +286,52 @@ fn ilpqc_run_records_solver_work_counters() {
     assert!(m.counter("ilpqc.nodes") > 0, "ILPQC must count its nodes");
 }
 
+/// Warm-started B&B node LPs factorize only when they pivot: a child
+/// re-solve adopts its parent's terminal factorization, and extraction
+/// skips the rebuild when no pivot ran since the last one. On a
+/// Fig. 7(a)-shaped exact ILPQC run (300×300 field, 4 base stations,
+/// −15 dB) that keeps refactorizations at or below 1.1 per LP solve.
+#[test]
+fn ilpqc_node_lps_refactor_at_most_1_1_times_per_solve() {
+    let _sparse = sag_lp::push_backend_override(Some(sag_lp::LpBackend::Sparse));
+    let config = SagPipelineConfig {
+        lower_solver: LowerSolver::IlpqcStrict,
+        solver: SolverBuilder::fixed(SolverBackend::ExactIlp),
+        threads: 1,
+        ..Default::default()
+    };
+    let mut m = sag_obs::StageMetrics::default();
+    for seed in 0..4 {
+        let sc = ScenarioSpec {
+            field_size: 300.0,
+            n_subscribers: 20,
+            n_base_stations: 4,
+            snr_db: -15.0,
+            ..Default::default()
+        }
+        .build(seed);
+        if let Ok(report) = run_sag_with(&sc, config.clone()) {
+            m.merge(&report.metrics);
+        }
+    }
+    let solves = m.counter("lp.sparse_solves");
+    let refactors = m.counter("lp.sparse_refactors");
+    assert!(solves >= 100, "too few node LPs to gate on: {solves}");
+    assert!(
+        m.counter("lp.factor_reuses") > 0,
+        "no solve adopted carried factors"
+    );
+    assert!(
+        m.timer_ns("lp.factor_ns") > 0 && m.timer_ns("lp.pivot_ns") > 0,
+        "LP factor and pivot timers must be recorded"
+    );
+    let ratio = refactors as f64 / solves as f64;
+    assert!(
+        ratio <= 1.1,
+        "{refactors} refactors over {solves} solves = {ratio:.3} per solve"
+    );
+}
+
 #[test]
 fn budget_spent_is_stage_local_on_every_arm() {
     // S2 regression: `SagReport::budget_spent` must describe the
