@@ -530,15 +530,12 @@ struct SparseSimplex<'a> {
     refactors: usize,
     /// Solves seeded by carried factors instead of a refactorization.
     factor_reuses: usize,
-    /// Whether to time factorization and pivoting (only while an obs
+    /// When the solve started, if it is timed (only while an obs
     /// recorder listens; the clock stays unread otherwise).
-    timed: bool,
+    started: Option<Instant>,
     /// Wall time spent establishing factorizations (builds, `x_B`
     /// solves and residual checks), in nanoseconds.
     factor_ns: u64,
-    /// Wall time spent in simplex iterations, net of the
-    /// refactorizations they trigger, in nanoseconds.
-    pivot_ns: u64,
 }
 
 /// Partial-pricing block: columns scanned per sweep step before the
@@ -666,24 +663,9 @@ impl<'a> SparseSimplex<'a> {
         ok
     }
 
-    /// The start of a timed section, when timing is on.
+    /// The start of a timed section, when the solve is timed.
     fn clock(&self) -> Option<Instant> {
-        self.timed.then(Instant::now)
-    }
-
-    /// Runs an iteration loop, charging its wall time net of the
-    /// refactorizations inside it to `pivot_ns`.
-    fn iterate(
-        &mut self,
-        costs: &[f64],
-        run: fn(&mut Self, &[f64]) -> Result<(), LpError>,
-    ) -> Result<(), LpError> {
-        let started = self.clock();
-        let factor_before = self.factor_ns;
-        let out = run(self, costs);
-        let factor_inside = self.factor_ns - factor_before;
-        self.pivot_ns += elapsed_ns(started).saturating_sub(factor_inside);
-        out
+        self.started.is_some().then(Instant::now)
     }
 
     /// `‖b − B·x_B‖∞ / (1 + ‖b‖∞) ≤ RESIDUAL_TOL` against the *true*
@@ -737,10 +719,6 @@ impl<'a> SparseSimplex<'a> {
     /// Only structural columns may enter (artificials can leave, never
     /// re-enter — standard column dropping).
     fn run_primal(&mut self, costs: &[f64]) -> Result<(), LpError> {
-        self.iterate(costs, Self::primal_iterations)
-    }
-
-    fn primal_iterations(&mut self, costs: &[f64]) -> Result<(), LpError> {
         let max_iters = 50 * (self.m + self.n) + 1000;
         let bland_after = 5 * (self.m + self.n);
         let mut c_b = vec![0.0; self.m];
@@ -819,10 +797,6 @@ impl<'a> SparseSimplex<'a> {
     /// Runs dual simplex iterations (basis dual feasible, `x_B` may be
     /// negative) until primal feasible.
     fn run_dual(&mut self, costs: &[f64]) -> Result<(), LpError> {
-        self.iterate(costs, Self::dual_iterations)
-    }
-
-    fn dual_iterations(&mut self, costs: &[f64]) -> Result<(), LpError> {
         let max_iters = 50 * (self.m + self.n) + 1000;
         let bland_after = 5 * (self.m + self.n);
         for iter in 0..max_iters {
@@ -1052,9 +1026,8 @@ fn make_solver<'a>(
         pivots: 0,
         refactors: 0,
         factor_reuses: 0,
-        timed: sag_obs::enabled(),
+        started: sag_obs::enabled().then(Instant::now),
         factor_ns: 0,
-        pivot_ns: 0,
     };
     let adopted = carried.is_some_and(|fact| fact.m == m && solver.adopt(fact));
     if !adopted {
@@ -1291,14 +1264,17 @@ fn finish_dual(solver: &mut SparseSimplex<'_>, costs: &[f64]) -> Result<RevisedS
 
 /// One observability flush per solve; the pivot loops stay
 /// uninstrumented and only accumulate into solver locals.
+/// `lp.pivot_ns` is the rest of the solve's wall time: simplex
+/// iterations, pricing and extraction, net of `lp.factor_ns`.
 fn flush_obs(solver: &SparseSimplex<'_>, cancelled: bool) {
     if sag_obs::enabled() {
+        let pivot_ns = elapsed_ns(solver.started).saturating_sub(solver.factor_ns);
         sag_obs::counter("lp.sparse_solves", 1);
         sag_obs::counter("lp.sparse_pivots", solver.pivots as u64);
         sag_obs::counter("lp.sparse_refactors", solver.refactors as u64);
         sag_obs::counter("lp.factor_reuses", solver.factor_reuses as u64);
         sag_obs::timer("lp.factor_ns", solver.factor_ns);
-        sag_obs::timer("lp.pivot_ns", solver.pivot_ns);
+        sag_obs::timer("lp.pivot_ns", pivot_ns);
         if cancelled {
             sag_obs::counter("lp.budget_exhausted", 1);
         }
