@@ -84,9 +84,8 @@ fn batched(config: SweepConfig, opts: SweepOptions) -> Vec<Vec<CellStats>> {
     sweep_multi_with(&GRIDS, 3, config, opts, eval)
 }
 
-/// A cold, explicitly-enabled cache per invocation: the bench measures
-/// the engine (including its one-time builds), never the `SAG_SWEEP_*`
-/// environment.
+/// A cold cache per invocation: the bench measures the engine
+/// including its one-time builds.
 fn cold_opts() -> SweepOptions {
     SweepOptions {
         cache: Some(SweepCache::new()),

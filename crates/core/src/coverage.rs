@@ -20,8 +20,8 @@ thread_local! {
     /// Scoped override of the ledger query mode, installed by
     /// [`push_ledger_mode_override`]. Thread-local so concurrent
     /// pipelines (sweep workers, parallel tests) cannot race each
-    /// other; the zone engine re-installs the coordinator's override on
-    /// its workers explicitly.
+    /// other; [`crate::engine::WorkQueue`] workers run under the
+    /// caller's effective mode.
     static MODE_OVERRIDE: std::cell::Cell<Option<LedgerMode>> =
         const { std::cell::Cell::new(None) };
 }
@@ -44,29 +44,23 @@ fn env_ledger_mode() -> LedgerMode {
 /// when one is installed (an explicit
 /// [`crate::sag::SagPipelineConfig::snr_oracle`] choice), the cached
 /// `SAG_SNR_ORACLE` environment switch otherwise.
-fn ledger_mode() -> LedgerMode {
+pub(crate) fn ledger_mode() -> LedgerMode {
     MODE_OVERRIDE
         .with(std::cell::Cell::get)
         .unwrap_or_else(env_ledger_mode)
 }
 
-/// The currently installed scoped override, if any (what the zone
-/// engine copies onto its workers).
-pub(crate) fn ledger_mode_override() -> Option<LedgerMode> {
-    MODE_OVERRIDE.with(std::cell::Cell::get)
-}
-
 /// Installs a scoped ledger-mode override on this thread; the previous
 /// value is restored when the returned guard drops. `None` clears any
 /// outer override back to the environment default for the scope.
-pub(crate) fn push_ledger_mode_override(mode: Option<LedgerMode>) -> LedgerModeGuard {
+pub fn push_ledger_mode_override(mode: Option<LedgerMode>) -> LedgerModeGuard {
     let previous = MODE_OVERRIDE.with(|c| c.replace(mode));
     LedgerModeGuard { previous }
 }
 
 /// Restores the previous ledger-mode override on drop (returned by
 /// [`push_ledger_mode_override`]).
-pub(crate) struct LedgerModeGuard {
+pub struct LedgerModeGuard {
     previous: Option<LedgerMode>,
 }
 
@@ -511,7 +505,7 @@ mod tests {
         let ambient = interference_ledger(&sc, &relays).mode();
         {
             let _g = push_ledger_mode_override(Some(LedgerMode::Oracle));
-            assert_eq!(ledger_mode_override(), Some(LedgerMode::Oracle));
+            assert_eq!(ledger_mode(), LedgerMode::Oracle);
             assert_eq!(interference_ledger(&sc, &relays).mode(), LedgerMode::Oracle);
             assert_eq!(
                 powered_ledger(&sc, &relays, &[1.0]).mode(),
@@ -527,7 +521,7 @@ mod tests {
             // The inner guard restored the outer override.
             assert_eq!(interference_ledger(&sc, &relays).mode(), LedgerMode::Oracle);
         }
-        assert_eq!(ledger_mode_override(), None);
+        assert_eq!(ledger_mode(), ambient);
         assert_eq!(interference_ledger(&sc, &relays).mode(), ambient);
     }
 }

@@ -1,11 +1,21 @@
-//! Zone-parallel solve engine.
+//! Zone-parallel solve engine and the workspace's one worker pool.
 //!
 //! Zone Partition (Algorithm 2) produces interference-independent
 //! zones, which makes the lower tier embarrassingly parallel: each zone
 //! is solved against a private [`InterferenceLedger`] restricted to its
 //! own subscribers, and the per-zone answers are reassembled in zone
-//! index order. [`run_zones`] is the shared work-queue under both SAMC
-//! and the ILPQC path of [`crate::sag::run_sag_with`].
+//! index order. [`run_zones`] does that for both SAMC and the ILPQC
+//! path of [`crate::sag::run_sag_with`] and for churn repair.
+//!
+//! Every thread the workspace starts comes from one [`WorkQueue`]: the
+//! zone workers here, the batched sweep's lanes (`sag_sim::batch`) and
+//! the portfolio race's two arms ([`crate::solver`]). The queue
+//! captures the caller's worker context once — span context, live
+//! recorder stack, effective ledger mode and effective LP backend — and
+//! enters it on every thread it starts, so no call site copies
+//! thread-local state by hand. A queue call made from inside a queue
+//! item runs inline on that item's thread, so nested sweeps × zones
+//! never hold more workers than the outermost call asked for.
 //!
 //! # Determinism contract
 //!
@@ -14,8 +24,8 @@
 //!
 //! * the partition itself never depends on the thread count;
 //! * each zone solve is a pure function of its zone scenario (workers
-//!   inherit the coordinator's observability stack and ledger-mode
-//!   override, so not even debug switches can diverge);
+//!   run in the caller's worker context, so not even debug switches can
+//!   diverge);
 //! * the merge consumes zone results **in zone index order**, so the
 //!   relay numbering, the assignment remap and the merged ledger's
 //!   floating-point accumulators replay the sequential build exactly.
@@ -30,13 +40,13 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use sag_geom::Point;
 use sag_radio::ledger::InterferenceLedger;
 
 use crate::coverage::{
-    flush_ledger_stats, ledger_mode_override, push_ledger_mode_override, snr_violations_ledger,
+    flush_ledger_stats, ledger_mode, push_ledger_mode_override, snr_violations_ledger,
     CoverageSolution,
 };
 use crate::error::{SagError, SagResult};
@@ -48,6 +58,9 @@ thread_local! {
     /// Chaos switch: when set, every zone solve started from this
     /// thread (or a worker it spawns) panics instead of solving.
     static INJECT_PANIC: Cell<bool> = const { Cell::new(false) };
+    /// Set on the threads a [`WorkQueue`] starts: a queue call made
+    /// there runs inline instead of starting more threads.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Arms (or disarms) the chaos fault that makes zone workers panic.
@@ -62,6 +75,18 @@ pub fn inject_zone_worker_panic(armed: bool) {
     INJECT_PANIC.with(|f| f.set(armed));
 }
 
+/// `SAG_THREADS`, parsed once per process: `None` when unset or
+/// unparsable. Callers apply their own unset default (the pipeline
+/// solves on one thread, sweeps on `min(hardware threads, 8)`).
+pub fn env_threads() -> Option<usize> {
+    static THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("SAG_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+    })
+}
+
 /// Resolves the `threads` knob: `0` means "all hardware threads".
 pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -71,19 +96,132 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Solves `n_zones` zone jobs with up to `threads` workers and returns
-/// the results in zone index order.
+/// The one worker pool: runs `task(i)` for every item `i` in `0..n` on
+/// up to `threads` workers, claimed by atomic index `chunk` items at a
+/// time, while the calling thread waits.
 ///
-/// `threads <= 1` (or a single zone) runs everything on the calling
-/// thread in zone order — the exact sequential loop the merge replays.
-/// Otherwise a scoped work queue hands zones out in index order;
-/// workers re-install the coordinator's thread-local observability
-/// stack and ledger-mode override so a zone solve behaves identically
-/// on either path.
+/// Every worker enters the caller's worker context, captured once: span
+/// context, live recorder stack, effective ledger mode and effective LP
+/// backend. Buffered recorders (the run's [`sag_obs::Collector`]) are
+/// never written from racing workers: each item records into a private
+/// collector, folded into them in item order after the join, which
+/// reproduces the sequential event order.
+///
+/// Items run inline on the calling thread, in index order, with no
+/// context capture and no per-item collector, when `threads <= 1`, when
+/// there is at most one item, or when the caller is itself a queue
+/// worker — so nested calls never multiply the thread count.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkQueue {
+    threads: usize,
+    chunk: usize,
+}
+
+impl WorkQueue {
+    /// A queue of up to `threads` workers claiming `chunk` items per
+    /// fetch (at least 1).
+    pub fn new(threads: usize, chunk: usize) -> Self {
+        WorkQueue {
+            threads,
+            chunk: chunk.max(1),
+        }
+    }
+
+    /// Runs items until one returns a value for which `stop` holds; no
+    /// item is claimed after that, but items already running finish.
+    /// Slot `i` of the result is `None` when item `i` never ran; every
+    /// item below the first stopping one ran, because claims go in
+    /// index order. A panicking task panics the caller after the join,
+    /// so call sites that must survive one catch it inside the task.
+    #[allow(clippy::disallowed_methods)] // the workspace's one thread-spawning site
+    pub fn run<T, F, S>(&self, n: usize, task: F, stop: S) -> Vec<Option<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        S: Fn(&T) -> bool + Sync,
+    {
+        let threads = self.threads.min(n);
+        if threads <= 1 || IN_WORKER.with(Cell::get) {
+            let mut out = Vec::with_capacity(n);
+            for i in 0..n {
+                let v = task(i);
+                let halt = stop(&v);
+                out.push(Some(v));
+                if halt {
+                    break;
+                }
+            }
+            out.resize_with(n, || None);
+            return out;
+        }
+
+        // The worker context, captured once and entered on every thread
+        // started below (which ends with the scope, so `IN_WORKER` needs
+        // no reset).
+        let span = sag_obs::span_context();
+        let (buffered, live): (Vec<_>, Vec<_>) = sag_obs::local_stack()
+            .into_iter()
+            .partition(|r| r.buffered());
+        let (mode, lp) = (ledger_mode(), sag_lp::backend::backend());
+        let collectors: Vec<Arc<sag_obs::Collector>> = if buffered.is_empty() {
+            Vec::new()
+        } else {
+            (0..n).map(|_| Default::default()).collect()
+        };
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        let halted = AtomicBool::new(false);
+        let work = || {
+            while !halted.load(Ordering::Relaxed) {
+                let start = next.fetch_add(self.chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                let end = (start + self.chunk).min(n);
+                for (i, slot) in (start..).zip(&slots[start..end]) {
+                    let v = match collectors.get(i) {
+                        Some(c) => sag_obs::with_local(c.clone(), || task(i)),
+                        None => task(i),
+                    };
+                    if stop(&v) {
+                        halted.store(true, Ordering::Relaxed);
+                    }
+                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    let _mode = push_ledger_mode_override(Some(mode));
+                    let _lp = sag_lp::push_backend_override(Some(lp));
+                    sag_obs::with_span_context(span, || sag_obs::with_local_stack(&live, work));
+                });
+            }
+        });
+
+        // Items a stop kept from running fold in as empty summaries.
+        for collector in &collectors {
+            let summary = collector.summary();
+            for recorder in &buffered {
+                recorder.absorb(&summary);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
+    }
+}
+
+/// Solves `n_zones` zone jobs with up to `threads` workers (`0` = all
+/// hardware threads) on the [`WorkQueue`] and returns the results in
+/// zone index order.
 ///
 /// The first error **by zone index** wins and later zones are
 /// abandoned cooperatively (in-flight zones still finish). Panics in
-/// `solve` become [`SagError::WorkerPanic`] on both paths.
+/// `solve` become [`SagError::WorkerPanic`] at any thread count.
 pub(crate) fn run_zones<T, F>(
     stage: &'static str,
     n_zones: usize,
@@ -103,93 +241,16 @@ where
         }))
         .unwrap_or(Err(SagError::WorkerPanic { stage, zone }))
     };
-
-    let threads = resolve_threads(threads).min(n_zones.max(1));
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n_zones);
-        for zone in 0..n_zones {
-            out.push(solve_caught(zone)?);
-        }
-        return Ok(out);
-    }
-
-    let slots: Vec<Mutex<Option<SagResult<T>>>> = (0..n_zones).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Aggregating recorders (the run's Collector) must not be written
-    // from racing workers: gauge last-write-wins and first-seen vector
-    // order would depend on scheduling. Workers record them into a
-    // private per-zone collector instead, and the coordinator folds
-    // those summaries back in zone-index order below — reproducing the
-    // sequential event order, so collected metrics are identical at
-    // any thread count. Streaming recorders (the JSONL sink) stay live
-    // with per-thread attribution.
-    let (buffered, live): (Vec<_>, Vec<_>) = sag_obs::local_stack()
-        .into_iter()
-        .partition(|r| r.buffered());
-    let zone_collectors: Vec<std::sync::Arc<sag_obs::Collector>> = if buffered.is_empty() {
-        Vec::new()
-    } else {
-        (0..n_zones).map(|_| Default::default()).collect()
-    };
-    let ctx = sag_obs::span_context();
-    let mode = ledger_mode_override();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                sag_obs::with_span_context(ctx, || {
-                    sag_obs::with_local_stack(&live, || {
-                        let _mode = push_ledger_mode_override(mode);
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let zone = next.fetch_add(1, Ordering::Relaxed);
-                            if zone >= n_zones {
-                                break;
-                            }
-                            let out = match zone_collectors.get(zone) {
-                                Some(c) => sag_obs::with_local(c.clone(), || solve_caught(zone)),
-                                None => solve_caught(zone),
-                            };
-                            if out.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            if let Ok(mut slot) = slots[zone].lock() {
-                                *slot = Some(out);
-                            }
-                        }
-                    })
-                });
-            });
-        }
-    });
-
-    // Deterministic merge of the buffered per-zone metrics (zones a
-    // preceding error kept from running fold in as empty summaries).
-    for collector in &zone_collectors {
-        let summary = collector.summary();
-        for recorder in &buffered {
-            recorder.absorb(&summary);
-        }
-    }
-
-    // Zones are claimed in index order, so every slot below the first
-    // error is filled; slots above an abort may be empty but are only
-    // reached when no error precedes them.
+    let slots =
+        WorkQueue::new(resolve_threads(threads), 1).run(n_zones, solve_caught, Result::is_err);
     let mut out = Vec::with_capacity(n_zones);
-    for slot in slots {
-        match slot.into_inner() {
-            Ok(Some(Ok(v))) => out.push(v),
-            Ok(Some(Err(e))) => return Err(e),
-            Ok(None) | Err(_) => {
-                // Unreachable without a preceding error (claims are
-                // ordered and panics are caught); fail closed anyway.
-                return Err(SagError::WorkerPanic {
-                    stage,
-                    zone: out.len(),
-                });
-            }
+    for (zone, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Some(Ok(v)) => out.push(v),
+            Some(Err(e)) => return Err(e),
+            // Unreachable without a preceding error (claims are
+            // ordered and panics are caught); fail closed anyway.
+            None => return Err(SagError::WorkerPanic { stage, zone }),
         }
     }
     Ok(out)
@@ -348,5 +409,45 @@ mod tests {
         });
         let metrics = collector.summary();
         assert_eq!(metrics.counter("engine.test_zone"), 6);
+    }
+
+    #[test]
+    fn workers_run_in_the_callers_ledger_mode_and_lp_backend() {
+        use sag_lp::LpBackend;
+        use sag_radio::ledger::LedgerMode;
+        let _lp = sag_lp::push_backend_override(Some(LpBackend::Dense));
+        let _mode = push_ledger_mode_override(Some(LedgerMode::Oracle));
+        let seen = run_zones("samc", 6, 3, |_| {
+            Ok((sag_lp::backend::backend(), ledger_mode()))
+        })
+        .unwrap();
+        assert_eq!(seen, vec![(LpBackend::Dense, LedgerMode::Oracle); 6]);
+    }
+
+    #[test]
+    fn nested_queue_calls_run_inline_on_the_worker() {
+        let current = || std::thread::current().id();
+        let caller = current();
+        let never = |_: &_| false;
+        let nested = WorkQueue::new(2, 1).run(
+            4,
+            |_| (current(), WorkQueue::new(2, 1).run(3, |_| current(), never)),
+            |_| false,
+        );
+        for (outer, inner) in nested.into_iter().flatten() {
+            assert_ne!(outer, caller, "top-level items run on queue workers");
+            assert_eq!(inner, vec![Some(outer); 3], "a nested call started threads");
+        }
+    }
+
+    #[test]
+    fn stop_abandons_unclaimed_items_at_any_chunk() {
+        for (threads, chunk) in [(1, 1), (2, 1), (2, 4)] {
+            let out = WorkQueue::new(threads, chunk).run(64, |i| i, |&i| i == 0);
+            assert_eq!(out[0], Some(0), "threads {threads} chunk {chunk}");
+            if threads == 1 {
+                assert!(out[1..].iter().all(Option::is_none));
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! so the experiment harness can reproduce each figure from one run.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sag_lp::{Budget, Spent};
@@ -90,20 +90,9 @@ pub struct SagPipelineConfig {
     /// `Some(false)` forces the incremental ledger, `None` (the
     /// default) defers to the environment variable, which is read once
     /// per process and cached. The override is installed for the
-    /// duration of the run on the calling thread and propagated to
-    /// zone workers.
+    /// duration of the run on the calling thread and carried to every
+    /// worker the run starts.
     pub snr_oracle: Option<bool>,
-}
-
-/// The `SAG_THREADS` default, read once per process.
-fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("SAG_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1)
-    })
 }
 
 impl Default for SagPipelineConfig {
@@ -114,7 +103,7 @@ impl Default for SagPipelineConfig {
             solver: SolverBuilder::default(),
             budget: Budget::unlimited(),
             collect_metrics: true,
-            threads: default_threads(),
+            threads: engine::env_threads().unwrap_or(1),
             snr_oracle: None,
         }
     }

@@ -32,12 +32,14 @@
 //! would break the byte-identical `threads = 1 ≡ threads = N` contract
 //! of [`crate::engine`].
 //!
-//! [`SolverChoice::Portfolio`] races two backends: the higher-ranked
-//! arm (lower [`SolverBackend::rank`]) runs on the calling thread under
-//! the real budget; the other arm runs on a scoped thread under its own
-//! budget slice (same deadline and node cap, its own cancel flag, **no
-//! shared node pool** — a loser charging the winner's pool would
-//! perturb the winner's search between runs). The committed answer is
+//! [`SolverChoice::Portfolio`] races two backends as the two items of
+//! a [`WorkQueue`]: the higher-ranked arm (lower
+//! [`SolverBackend::rank`]) runs under the real budget; the other arm
+//! runs under its own budget slice (same deadline and node cap, its own
+//! cancel flag, **no shared node pool** — a loser charging the winner's
+//! pool would perturb the winner's search between runs). Inside a
+//! queue worker (a zone worker or a sweep cell) the race runs inline,
+//! primary first, like any nested queue call. The committed answer is
 //! decided by *rank*, never by wall-clock arrival: if the primary arm
 //! returns a feasible answer it wins regardless of timing, so the
 //! result is byte-identical at any thread count and across replays. A
@@ -61,6 +63,7 @@ use sag_hitting::CoverError;
 use sag_lp::{Budget, Spent};
 
 use crate::coverage::CoverageSolution;
+use crate::engine::WorkQueue;
 use crate::error::{SagError, SagResult};
 use crate::fallback;
 use crate::ilpqc::{build_cover_lp, solve_ilpqc, IlpqcConfig};
@@ -744,15 +747,15 @@ impl SolverBuilder {
 
     /// Races two backends and commits by fixed rank arbitration.
     ///
-    /// The stronger-ranked arm (the *primary*) runs on the calling
-    /// thread under the real budget; the other arm runs on a scoped
-    /// thread under a derived slice: same absolute deadline and node
-    /// cap, its own cancel flag (raised the moment the primary
-    /// answers), and no shared node pool — so nothing the loser does
-    /// can perturb the primary's search or the committed answer. The
-    /// primary's feasible answer always wins; the secondary's answer is
-    /// committed only when the primary *fails*, which is itself a
-    /// deterministic function of the inputs and budget.
+    /// The stronger-ranked arm (the *primary*) runs under the real
+    /// budget; the other arm runs under a derived slice: same absolute
+    /// deadline and node cap, its own cancel flag (raised the moment
+    /// the primary answers), and no shared node pool — so nothing the
+    /// loser does can perturb the primary's search or the committed
+    /// answer. The primary's feasible answer always wins; the
+    /// secondary's answer is committed only when the primary *fails*,
+    /// which is itself a deterministic function of the inputs and
+    /// budget.
     fn race(
         &self,
         a: SolverBackend,
@@ -773,46 +776,43 @@ impl SolverBuilder {
             sec_budget = sec_budget.with_node_limit(cap);
         }
         let fault = self.loser_fault;
-        // The loser arm streams to live sinks (JSONL) but must not
-        // write aggregating recorders: how far it gets before the
-        // cancel flag lands is scheduling-dependent, and the committed
-        // answer never includes its work — so its partial counts would
-        // make collected metrics nondeterministic.
-        let obs_stack: Vec<_> = sag_obs::local_stack()
-            .into_iter()
-            .filter(|r| !r.buffered())
-            .collect();
-        let ctx = sag_obs::span_context();
-
-        let (prim_result, sec_result) = std::thread::scope(|scope| {
-            let sec_handle = scope.spawn(|| {
+        let arms = WorkQueue::new(2, 1).run(
+            2,
+            |arm| {
+                if arm == 0 {
+                    let prim = run_backend(primary, scenario, candidates, budget);
+                    if prim.is_ok() {
+                        // Rank arbitration is already decided; release
+                        // the loser's slice so it stops burning cycles.
+                        loser_stop.store(true, Ordering::Relaxed);
+                    }
+                    return Ok(prim);
+                }
+                // The loser arm streams to live sinks (JSONL) but must
+                // not write aggregating recorders: how far it gets
+                // before the cancel flag lands is scheduling-dependent,
+                // and the committed answer never includes its work — so
+                // its partial counts would make collected metrics
+                // nondeterministic.
                 catch_unwind(AssertUnwindSafe(|| {
-                    // Seed the coordinator's span linkage so any span
-                    // the loser arm opens still hangs off the race's
-                    // enclosing span in the trace tree.
-                    sag_obs::with_span_context(ctx, || {
-                        sag_obs::with_local_stack(&obs_stack, || match fault {
-                            Some(LoserFault::Panic) => panic!("injected portfolio loser panic"),
-                            Some(LoserFault::Hang) => hang_until_cancelled(&sec_budget),
-                            None => run_backend(secondary, scenario, candidates, &sec_budget),
-                        })
+                    sag_obs::with_live_only(|| match fault {
+                        Some(LoserFault::Panic) => panic!("injected portfolio loser panic"),
+                        Some(LoserFault::Hang) => hang_until_cancelled(&sec_budget),
+                        None => run_backend(secondary, scenario, candidates, &sec_budget),
                     })
                 }))
-            });
-            let prim = run_backend(primary, scenario, candidates, budget);
-            if prim.is_ok() {
-                // Rank arbitration is already decided; release the
-                // loser's slice so it stops burning cycles.
-                loser_stop.store(true, Ordering::Relaxed);
-            }
-            let sec = match sec_handle.join() {
-                Ok(Ok(r)) => LoserOutcome::Done(r),
-                // catch_unwind caught it, or (fail closed) the join
-                // itself reported a panic.
-                Ok(Err(_)) | Err(_) => LoserOutcome::Panicked,
-            };
-            (prim, sec)
-        });
+            },
+            |_| false,
+        );
+        let mut arms = arms.into_iter().flatten();
+        // A primary panic propagates out of the queue like any solve's.
+        let Some(Ok(prim_result)) = arms.next() else {
+            unreachable!("the primary arm always runs and never reports a panic");
+        };
+        let sec_result = match arms.next() {
+            Some(Ok(r)) => LoserOutcome::Done(r),
+            _ => LoserOutcome::Panicked,
+        };
 
         match prim_result {
             Ok(ans) => {
@@ -1073,6 +1073,40 @@ mod tests {
             assert_eq!(out.backend, SolverBackend::ExactIlp, "{fault:?}");
             assert!(is_feasible(&sc, &out.solution), "{fault:?}");
         }
+    }
+
+    #[test]
+    fn portfolio_loser_runs_in_the_callers_lp_backend() {
+        use sag_lp::{push_backend_override, LpBackend};
+        use std::sync::atomic::AtomicU64;
+
+        /// A live (unbuffered) recorder, so it sees the loser arm.
+        #[derive(Default)]
+        struct SparseSolves(AtomicU64);
+        impl sag_obs::Recorder for SparseSolves {
+            fn counter(&self, name: &'static str, delta: u64, _: Option<&'static str>) {
+                if name == "lp.sparse_solves" {
+                    self.0.fetch_add(delta, Ordering::Relaxed);
+                }
+            }
+        }
+        let (sc, cands) = probe();
+        let live = Arc::new(SparseSolves::default());
+        let _dense = push_backend_override(Some(LpBackend::Dense));
+        // node_limit(0) fails the exact primary, so the LP-rounding
+        // loser runs to completion and its answer is committed.
+        let out =
+            sag_obs::with_local(live.clone(), || {
+                SolverBuilder::portfolio(SolverBackend::ExactIlp, SolverBackend::LpRound)
+                    .solve_zone(&sc, &cands, &Budget::unlimited().with_node_limit(0))
+            })
+            .unwrap();
+        assert_eq!(out.backend, SolverBackend::LpRound);
+        assert_eq!(
+            live.0.load(Ordering::Relaxed),
+            0,
+            "the loser solved its LP on the sparse backend"
+        );
     }
 
     #[test]

@@ -61,8 +61,8 @@ mod span;
 pub use forensics::{last_dump, Dump, PostMortem};
 pub use metrics::{bucket_floor, Collector, HistSummary, SpanStat, StageMetrics};
 pub use recorder::{
-    enabled, install, local_stack, span_context, with_local, with_local_stack, with_span_context,
-    Recorder, RecorderGuard, SpanContext, SpanMeta,
+    enabled, install, local_stack, span_context, with_live_only, with_local, with_local_stack,
+    with_span_context, Recorder, RecorderGuard, SpanContext, SpanMeta,
 };
 pub use sink::JsonlSink;
 pub use span::{span, span_zone, Span};

@@ -195,6 +195,27 @@ pub fn with_local_stack<T>(stack: &[Arc<dyn Recorder>], f: impl FnOnce() -> T) -
     f()
 }
 
+/// Runs `f` with this thread's buffered recorders switched off, so only
+/// streaming recorders see its events. For work whose extent depends on
+/// scheduling (a cancelled race arm), which aggregating recorders must
+/// not count. The full stack is restored even if `f` panics.
+pub fn with_live_only<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(Vec<Arc<dyn Recorder>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let all = std::mem::take(&mut self.0);
+            LOCAL_ACTIVE.with(|c| c.set(all.len()));
+            LOCALS.with(|l| *l.borrow_mut() = all);
+        }
+    }
+    let all = LOCALS.with(RefCell::take);
+    let live: Vec<_> = all.iter().filter(|r| !r.buffered()).cloned().collect();
+    LOCAL_ACTIVE.with(|c| c.set(live.len()));
+    LOCALS.with(|l| *l.borrow_mut() = live);
+    let _restore = Restore(all);
+    f()
+}
+
 /// Span linkage carried across thread boundaries.
 ///
 /// A fan-out stage captures it on the coordinating thread with
@@ -313,9 +334,34 @@ pub(crate) fn pop_span(name: &'static str) {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // cross-thread recorder tests start their own threads
 mod tests {
     use super::*;
     use crate::metrics::Collector;
+
+    #[test]
+    fn live_only_hides_buffered_recorders_and_restores_them() {
+        #[derive(Default)]
+        struct Live(AtomicU64);
+        impl Recorder for Live {
+            fn counter(&self, _: &'static str, delta: u64, _: Option<&'static str>) {
+                self.0.fetch_add(delta, Ordering::Relaxed);
+            }
+        }
+        let buffered = Arc::new(Collector::default());
+        let live = Arc::new(Live::default());
+        with_local(buffered.clone(), || {
+            with_local(live.clone(), || {
+                with_live_only(|| crate::counter("race.loser", 5));
+                crate::counter("race.winner", 1);
+            });
+        });
+        assert_eq!(live.0.load(Ordering::Relaxed), 6);
+        let m = buffered.summary();
+        assert_eq!(m.counter("race.loser"), 0);
+        assert_eq!(m.counter("race.winner"), 1);
+        assert!(local_stack().is_empty(), "the stack unwound completely");
+    }
 
     #[test]
     fn install_and_drop_uninstall_the_recorder() {

@@ -351,6 +351,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the probe needs a second thread
     fn rings_merge_across_threads_by_epoch() {
         let _serial = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         configure(16);

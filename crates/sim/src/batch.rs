@@ -16,15 +16,14 @@
 //!   [`Fingerprint`] of the inputs to their (pure, deterministic)
 //!   build function, so lanes that differ only in the swept parameter
 //!   or the run index hit instead of recomputing,
-//! * writes each cell's outcome into a **lock-free slot** (a
-//!   [`OnceLock`] sized up front, written exactly once by the one
-//!   worker that claimed the cell), so aggregation never contends on a
-//!   mutex grid,
-//! * seeds each worker with the coordinator's [`sag_obs`] span context
-//!   and live recorder stack, so a sweep capture reconstructs into a
-//!   single span tree at any thread count (buffered recorders are fed
-//!   per-cell and folded in cell-index order, the
-//!   [`sag_core::engine`] idiom).
+//! * runs the lanes on the workspace's one worker pool,
+//!   [`sag_core::engine::WorkQueue`], which returns each cell's outcome
+//!   in claim order and carries the caller's worker context (span
+//!   context, live recorder stack, ledger mode, LP backend) onto every
+//!   worker, so a sweep capture reconstructs into a single span tree at
+//!   any thread count (buffered recorders are fed per cell and folded
+//!   in claim order). A cell that itself runs a pipeline with
+//!   `threads > 1` solves its zones inline on the cell's worker.
 //!
 //! # Determinism contract
 //!
@@ -41,6 +40,8 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+use sag_core::engine::WorkQueue;
 
 use crate::fingerprint::Fingerprint;
 use crate::runner::SweepConfig;
@@ -85,8 +86,7 @@ impl SweepCache {
     }
 
     /// A cache that never stores: every access runs the build closure
-    /// (and counts as a miss). This is what `SAG_SWEEP_CACHE=0`
-    /// installs, and what the per-cell reference path uses.
+    /// (and counts as a miss). The per-cell reference path uses it.
     pub fn disabled() -> Arc<Self> {
         Arc::new(SweepCache {
             enabled: false,
@@ -94,11 +94,6 @@ impl SweepCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
-    }
-
-    /// Whether this cache stores artifacts at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Returns the artifact for `fp`, building it with `build` on the
@@ -166,12 +161,6 @@ impl BatchCtx<'_> {
     ) -> Arc<T> {
         self.cache.cached(fp, build)
     }
-
-    /// Whether artifacts are actually being stored (false under
-    /// `SAG_SWEEP_CACHE=0` and on the reference path).
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_enabled()
-    }
 }
 
 /// The order in which the engine hands cells to workers.
@@ -192,44 +181,23 @@ pub enum JobOrder {
 #[derive(Clone)]
 pub struct SweepOptions {
     /// Cells claimed per worker fetch (the lane-batch width K);
-    /// clamped to at least 1. Defaults to `SAG_SWEEP_LANES` (read once
-    /// per process), else 4.
+    /// clamped to at least 1. Defaults to 4.
     pub lanes: usize,
     /// Claim order (see [`JobOrder`]).
     pub order: JobOrder,
     /// A shared cache to reuse across sweep calls (warm starts across
-    /// a whole figure); `None` builds a fresh per-call cache, disabled
-    /// when `SAG_SWEEP_CACHE=0`.
+    /// a whole figure); `None` builds a fresh per-call cache.
     pub cache: Option<Arc<SweepCache>>,
 }
 
 impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
-            lanes: default_lanes(),
+            lanes: 4,
             order: JobOrder::RowMajor,
             cache: None,
         }
     }
-}
-
-/// The `SAG_SWEEP_LANES` default, read once per process.
-fn default_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::env::var("SAG_SWEEP_LANES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .unwrap_or(4)
-    })
-}
-
-/// Whether `SAG_SWEEP_CACHE` leaves per-call caches enabled (default
-/// yes; `0` disables), read once per process.
-fn cache_enabled_by_env() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| !matches!(std::env::var("SAG_SWEEP_CACHE").as_deref(), Ok("0")))
 }
 
 /// One cell's raw outcome: `None` when the eval panicked or returned
@@ -270,13 +238,7 @@ where
     if n_metrics == 0 {
         return Vec::new();
     }
-    let cache = opts.cache.clone().unwrap_or_else(|| {
-        if cache_enabled_by_env() {
-            SweepCache::new()
-        } else {
-            SweepCache::disabled()
-        }
-    });
+    let cache = opts.cache.clone().unwrap_or_else(SweepCache::new);
     let stats_before = cache.stats();
     let ctx = BatchCtx { cache: &cache };
 
@@ -301,78 +263,25 @@ where
         .map(|(&c, &i)| config.seed(i, c % runs.max(1)))
         .collect();
 
-    // Lock-free outcome slots, sized up front: one per cell, written
-    // exactly once by the worker that claimed the cell.
-    let slots: Vec<OnceLock<LaneOutcome>> = (0..n_cells).map(|_| OnceLock::new()).collect();
-
-    // Aggregating (buffered) recorders must not be written from racing
-    // workers; feed them per-cell and fold in cell-index order below —
-    // the same discipline as `sag_core::engine::run_zones`.
-    let (buffered, live): (Vec<_>, Vec<_>) = sag_obs::local_stack()
-        .into_iter()
-        .partition(|r| r.buffered());
-    let cell_collectors: Vec<Arc<sag_obs::Collector>> = if buffered.is_empty() {
-        Vec::new()
-    } else {
-        (0..n_cells).map(|_| Default::default()).collect()
-    };
-
-    let process = |k: usize| {
-        let cell = cell_of[k];
-        let (x_idx, seed) = (x_of[k], seed_of[k]);
-        let run_lane = || {
-            // Isolate per-cell panics: a poisoned scenario must not
-            // take down the other cells. `eval` is only observed
-            // through its return value, so unwind safety is not a
-            // correctness concern here.
+    let claimed = WorkQueue::new(config.threads, opts.lanes).run(
+        n_cells,
+        |k| -> LaneOutcome {
+            // Isolate per-cell panics: a poisoned scenario must not take
+            // down the other cells. `eval` is only observed through its
+            // return value, so unwind safety is not a correctness
+            // concern here.
             catch_unwind(AssertUnwindSafe(|| {
-                let _cell_span = sag_obs::span_zone("sweep_cell", cell as u64);
-                eval(&ctx, xs[x_idx], seed)
+                let _cell_span = sag_obs::span_zone("sweep_cell", cell_of[k] as u64);
+                eval(&ctx, xs[x_of[k]], seed_of[k])
             }))
             .ok()
             .filter(|v| v.len() == n_metrics)
-        };
-        let outcome = match cell_collectors.get(cell) {
-            Some(c) => sag_obs::with_local(c.clone(), run_lane),
-            None => run_lane(),
-        };
-        let _ = slots[cell].set(outcome);
-    };
-
-    let threads = config.threads.max(1).min(n_cells.max(1));
-    if threads <= 1 {
-        for k in 0..n_cells {
-            process(k);
-        }
-    } else {
-        let lanes = opts.lanes.max(1);
-        let next = AtomicUsize::new(0);
-        let span_ctx = sag_obs::span_context();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    sag_obs::with_span_context(span_ctx, || {
-                        sag_obs::with_local_stack(&live, || loop {
-                            let start = next.fetch_add(lanes, Ordering::Relaxed);
-                            if start >= n_cells {
-                                break;
-                            }
-                            for k in start..(start + lanes).min(n_cells) {
-                                process(k);
-                            }
-                        })
-                    });
-                });
-            }
-        });
-    }
-
-    // Deterministic fold of the buffered per-cell metrics.
-    for collector in &cell_collectors {
-        let summary = collector.summary();
-        for recorder in &buffered {
-            recorder.absorb(&summary);
-        }
+        },
+        |_| false,
+    );
+    let mut outcomes: Vec<LaneOutcome> = vec![None; n_cells];
+    for (k, outcome) in claimed.into_iter().enumerate() {
+        outcomes[cell_of[k]] = outcome.flatten();
     }
 
     // Cache accounting, recorded once from the coordinator: totals are
@@ -389,15 +298,16 @@ where
         stats.misses.saturating_sub(stats_before.misses),
     );
 
-    aggregate(xs.len(), runs, n_metrics, &slots)
+    aggregate(xs.len(), runs, n_metrics, &outcomes)
 }
 
-/// Transposes the outcome slots into per-metric [`CellStats`] series.
+/// Transposes the per-cell outcomes into per-metric [`CellStats`]
+/// series.
 fn aggregate(
     n_xs: usize,
     runs: usize,
     n_metrics: usize,
-    slots: &[OnceLock<LaneOutcome>],
+    outcomes: &[LaneOutcome],
 ) -> Vec<Vec<CellStats>> {
     (0..n_metrics)
         .map(|m| {
@@ -406,12 +316,10 @@ fn aggregate(
                     let mut row: Vec<Option<f64>> = Vec::with_capacity(runs);
                     let mut failed = 0;
                     for r in 0..runs {
-                        match slots[i * runs + r].get() {
-                            Some(Some(vals)) => row.push(vals[m]),
-                            // A failed run (panic / wrong arity), or —
-                            // unreachably, every claim writes its slot
-                            // — an unwritten slot: fail closed.
-                            Some(None) | None => {
+                        match &outcomes[i * runs + r] {
+                            Some(vals) => row.push(vals[m]),
+                            // A failed run (panic / wrong arity).
+                            None => {
                                 failed += 1;
                                 row.push(None);
                             }
@@ -430,7 +338,9 @@ fn aggregate(
 /// before the batched engine. [`sweep_multi_with`] must stay
 /// byte-identical to this at any thread count, cache state and job
 /// order — the determinism suite and `bench sweep` both diff against
-/// it.
+/// it. It keeps its own threads so the referee shares no code with the
+/// engine it checks.
+#[allow(clippy::disallowed_methods)]
 pub fn sweep_multi_reference<X, F>(
     xs: &[X],
     n_metrics: usize,

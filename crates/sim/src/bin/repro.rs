@@ -250,8 +250,9 @@ fn usage() {
     println!("       repro trace FILE.jsonl [OLD.jsonl NEW.jsonl for a diff]");
     println!("experiments: all {}", EXPERIMENTS.join(" "));
     println!("env: SAG_THREADS=N  zone-parallel workers inside each pipeline solve");
-    println!("     (orthogonal to --threads, which parallelises across sweep cells;");
-    println!("      threads=1 and threads=N solves are byte-identical)");
+    println!("     (--threads parallelises across sweep cells; a cell on a sweep worker");
+    println!("      solves its zones inline, so the two never multiply; threads=1 and");
+    println!("      threads=N solves are byte-identical)");
 }
 
 fn die(msg: &str) -> ! {

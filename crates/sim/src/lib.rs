@@ -8,10 +8,10 @@
 //! * [`stats`] — mean/std aggregation over the paper's 10-run averages,
 //! * [`table`] — text tables and CSV series for figure data,
 //! * [`runner`] — parameter sweeps parallelised across seeds
-//!   (`std::thread::scope` workers),
+//!   (on the [`sag_core::engine::WorkQueue`] worker pool),
 //! * [`batch`] — the batched sweep engine: structure-of-arrays lane
-//!   batches over the `(x, run)` grid, lock-free per-cell outcome
-//!   slots, and the fingerprint-keyed invariant cache,
+//!   batches over the `(x, run)` grid and the fingerprint-keyed
+//!   invariant cache,
 //! * [`fingerprint`] — 128-bit content hashes keying that cache,
 //! * [`snapshot`] — compact binary scenario snapshots (`bytes`),
 //! * [`experiments`] — one module per paper artefact: Fig. 3(a–e),

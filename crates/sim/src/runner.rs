@@ -1,5 +1,6 @@
 //! Parameter sweeps: every `(x, run)` cell evaluated in parallel across
-//! seeds with `std::thread::scope` workers, aggregated into [`CellStats`].
+//! seeds on the [`sag_core::engine::WorkQueue`], aggregated into
+//! [`CellStats`].
 //!
 //! The paper averages 10 runs per plotted point; [`SweepConfig::runs`]
 //! defaults to that. A run that returns `None` (infeasible — IAC/GAC do
@@ -16,7 +17,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::stats::CellStats;
 
@@ -70,22 +70,14 @@ impl Default for SweepConfig {
     }
 }
 
-/// Resolves the `SAG_THREADS`-aware default worker count (read once).
+/// The `SAG_THREADS`-aware default worker count.
 fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        match std::env::var("SAG_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(0) => hw,
-            Some(n) => n,
-            None => hw.min(8),
-        }
-    })
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match sag_core::engine::env_threads() {
+        Some(0) => hw,
+        Some(n) => n,
+        None => hw.min(8),
+    }
 }
 
 impl SweepConfig {
@@ -206,10 +198,7 @@ mod tests {
         assert!(t >= 1);
         // Unset (or unparsable) SAG_THREADS keeps the historical 8
         // only as a *cap*, never as an oversubscribing floor.
-        match std::env::var("SAG_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
+        match sag_core::engine::env_threads() {
             None => assert!(t <= 8),
             Some(0) => {}
             Some(n) => assert_eq!(t, n),

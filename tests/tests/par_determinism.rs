@@ -219,3 +219,53 @@ fn high_nmax_scenarios_do_fragment_into_zones() {
         "generator no longer produces multi-zone scenarios"
     );
 }
+
+/// The worker-context gate for zone workers: a caller that pins the
+/// dense LP backend (and the oracle ledger) gets it in every zone
+/// solve, whichever thread runs the zone. LP rounding solves one LP per
+/// zone, and the dense core records no `lp.sparse_solves`, so a zone
+/// worker that fell back to the default sparse backend shows up as a
+/// nonzero count.
+#[test]
+fn zone_workers_solve_in_the_callers_lp_backend() {
+    use sag_lp::{push_backend_override, LpBackend};
+
+    let sc = ScenarioSpec {
+        field_size: 800.0,
+        n_subscribers: 16,
+        n_base_stations: 2,
+        snr_db: -15.0,
+        dist_range: (8.0, 14.0),
+        nmax: 1e-3,
+        bs_layout: BsLayout::Uniform,
+        ..Default::default()
+    }
+    .build(1);
+    let zones = zone_partition(&sc).len();
+    assert!(zones > 1, "the probe must fan out over zone workers");
+    let _dense = push_backend_override(Some(LpBackend::Dense));
+    for threads in [1usize, 2] {
+        let report = run_sag_with(
+            &sc,
+            SagPipelineConfig {
+                lower_solver: LowerSolver::IlpqcWithGreedyFallback,
+                solver: SolverBuilder::fixed(SolverBackend::LpRound),
+                threads,
+                snr_oracle: Some(true),
+                ..Default::default()
+            },
+        )
+        .expect("scenario is feasible");
+        let lp_rounds = report.metrics.spans.iter().find(|s| s.name == "lp_round");
+        assert_eq!(
+            lp_rounds.map(|s| s.count),
+            Some(zones as u64),
+            "threads={threads}: one LP rounding per zone"
+        );
+        assert_eq!(
+            report.metrics.counter("lp.sparse_solves"),
+            0,
+            "threads={threads}: a zone worker solved on the sparse LP backend"
+        );
+    }
+}

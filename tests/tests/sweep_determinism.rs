@@ -11,14 +11,23 @@
 //! floats as the shortest round-tripping string, so equal renderings
 //! imply bit-equal values.
 
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+
 use sag_testkit::prelude::*;
 
+use sag_core::coverage::{interference_ledger, push_ledger_mode_override};
+use sag_core::sag::{run_sag_with, SagPipelineConfig};
+use sag_lp::{push_backend_override, LpBackend};
+use sag_obs::{Recorder, SpanMeta};
+use sag_radio::ledger::LedgerMode;
 use sag_sim::batch::{
     sweep_multi_cached, sweep_multi_reference, sweep_multi_with, BatchCtx, JobOrder, SweepCache,
     SweepOptions,
 };
 use sag_sim::experiments::{relays_metric, run_gac_cached, run_samc_cached};
-use sag_sim::gen::ScenarioSpec;
+use sag_sim::gen::{BsLayout, ScenarioSpec};
 use sag_sim::runner::{sweep_multi, SweepConfig};
 use sag_sim::stats::CellStats;
 
@@ -210,4 +219,108 @@ fn panicking_lane_does_not_poison_shared_cache_entries() {
             );
         }
     }
+}
+
+/// The worker-context gate for sweep lanes: a caller that pins the
+/// dense LP backend and the oracle ledger gets both in every cell,
+/// whichever worker runs it.
+#[test]
+fn sweep_workers_run_in_the_callers_lp_backend_and_ledger_mode() {
+    let probe = spec(6).build(1);
+    let _dense = push_backend_override(Some(LpBackend::Dense));
+    let _oracle = push_ledger_mode_override(Some(LedgerMode::Oracle));
+    let config = SweepConfig {
+        runs: 4,
+        base_seed: 0,
+        threads: 2,
+    };
+    let flag = |on: bool| Some(if on { 1.0 } else { 0.0 });
+    let series = sweep_multi_cached(&[0usize, 1], 2, config, |_ctx, _x, _seed| {
+        vec![
+            flag(sag_lp::backend::backend() == LpBackend::Dense),
+            flag(interference_ledger(&probe, &[]).mode() == LedgerMode::Oracle),
+        ]
+    });
+    for (metric, cells) in ["lp backend", "ledger mode"].iter().zip(&series) {
+        for cell in cells {
+            assert_eq!(cell.feasible_runs, 4);
+            assert_eq!(
+                cell.mean,
+                Some(1.0),
+                "a sweep worker lost the caller's {metric}"
+            );
+        }
+    }
+}
+
+/// Logs every span opening with the thread that opened it.
+#[derive(Default)]
+struct ThreadLog(Mutex<Vec<(SpanMeta, ThreadId)>>);
+
+impl Recorder for ThreadLog {
+    fn span_enter(&self, span: &SpanMeta) {
+        self.0
+            .lock()
+            .expect("log lock")
+            .push((*span, std::thread::current().id()));
+    }
+}
+
+/// Nesting never multiplies threads: sweep cells that run multi-zone
+/// pipelines at `threads = T` solve their zones inline on the cell's
+/// own worker, so a `T`-thread sweep never has more than `T` workers
+/// live.
+#[test]
+fn nested_zone_solves_run_on_their_sweep_cell_thread() {
+    const T: usize = 2;
+    let spec = ScenarioSpec {
+        field_size: 800.0,
+        n_subscribers: 16,
+        n_base_stations: 2,
+        snr_db: -15.0,
+        dist_range: (8.0, 14.0),
+        nmax: 1e-3,
+        bs_layout: BsLayout::Uniform,
+        ..Default::default()
+    };
+    let config = SweepConfig {
+        runs: 3,
+        base_seed: 1,
+        threads: T,
+    };
+    let log = Arc::new(ThreadLog::default());
+    sag_obs::with_local(log.clone(), || {
+        sweep_multi_cached(&[0usize, 1], 1, config, |_ctx, _x, seed| {
+            let pipeline = SagPipelineConfig {
+                threads: T,
+                ..Default::default()
+            };
+            let report = run_sag_with(&spec.build(seed % 1000), pipeline);
+            vec![report.ok().map(|r| r.n_coverage_relays() as f64)]
+        });
+    });
+    let spans = log.0.lock().expect("log lock").clone();
+    let by_id: HashMap<u64, (SpanMeta, ThreadId)> =
+        spans.iter().map(|&(s, t)| (s.id, (s, t))).collect();
+    let mut workers = HashSet::new();
+    let mut zone_solves = 0;
+    for &(span, thread) in spans.iter().filter(|(s, _)| s.name == "zone_solve") {
+        let mut up = span.parent;
+        let cell_thread = loop {
+            let (meta, t) = by_id[&up.expect("zone_solve links up to a sweep_cell")];
+            if meta.name == "sweep_cell" {
+                break t;
+            }
+            up = meta.parent;
+        };
+        assert_eq!(
+            thread, cell_thread,
+            "zone {:?} left its cell's thread",
+            span.zone
+        );
+        workers.insert(thread);
+        zone_solves += 1;
+    }
+    assert!(zone_solves > 6, "the cells must fan out over several zones");
+    assert!(workers.len() <= T, "{} threads solved zones", workers.len());
 }
